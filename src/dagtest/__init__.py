@@ -28,6 +28,7 @@ from .mean_tests import (
     bonferroni_adjust,
     hotelling,
     reference_p_value,
+    run_methods,
     t2dag,
 )
 from .pathway import (
@@ -83,6 +84,7 @@ __all__ = [
     "bonferroni_adjust",
     "hotelling",
     "reference_p_value",
+    "run_methods",
     "t2dag",
     "EdgePerturbation",
     "PathwayDag",

@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -31,10 +31,10 @@ from .data_io import (
     log2_shift_transform,
 )
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, baseline, hotelling, t2dag
+from .mean_tests import METHODS, run_methods
 from .pathway import acyclic_reduction, parse_edge_document
 from .sem import GroupedSample
-from .simulate import SimConfig, run_experiment
+from .simulate import MethodSummary, SimConfig, run_experiment
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -68,31 +68,9 @@ def _prepare_pathway(sample: GroupedSample, gene_index: Mapping[str, int], path)
     )
     aligned, dropped = align_pathway(dag, gene_index)
     cols = [gene_index[lab] for lab in aligned.node_labels]
-    sub = GroupedSample(
-        X=sample.X[:, cols], g=sample.g, n1=sample.n1, n2=sample.n2
-    )
+    sub = sample.reorder_columns(cols)
     removed_labels = [[labels[j], labels[k]] for j, k in removed]
     return sub, aligned, removed_labels, list(dropped)
-
-
-def _analyze(sample: GroupedSample, dag, methods) -> tuple[list, list[str]]:
-    """Run each method, tolerating per-method failures."""
-    results = []
-    errors: list[str] = []
-    pair = None
-    for method in methods:
-        try:
-            if method in ("t2dag_chi2", "t2dag_z"):
-                if pair is None:
-                    pair = t2dag(sample, dag)
-                results.append(pair[0] if method == "t2dag_chi2" else pair[1])
-            elif method == "hotelling":
-                results.append(hotelling(sample, dag=dag))
-            else:
-                results.append(baseline(sample, method, dag=dag))
-        except DagTestError as exc:
-            errors.append(f"{method}: {exc}")
-    return results, errors
 
 
 def _pathway_meta(path, aligned, removed_labels, dropped) -> dict:
@@ -127,7 +105,7 @@ def cmd_test(args) -> int:
     sub, aligned, removed_labels, dropped = _prepare_pathway(
         sample, gene_index, args.pathway
     )
-    results, errors = _analyze(sub, aligned, methods)
+    results, errors = run_methods(sub, aligned, methods)
     decisions = {r.method: bool(r.p_value <= args.alpha) for r in results}
     report = {
         "pathway": _pathway_meta(args.pathway, aligned, removed_labels, dropped),
@@ -189,7 +167,7 @@ def cmd_batch(args) -> int:
             sub, aligned, removed_labels, dropped = _prepare_pathway(
                 sample, gene_index, path
             )
-            results, errors = _analyze(sub, aligned, methods)
+            results, errors = run_methods(sub, aligned, methods)
             outcome.update(_pathway_meta(path, aligned, removed_labels, dropped))
             outcome["n1"] = sub.n1
             outcome["n2"] = sub.n2
@@ -285,30 +263,11 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"error: config error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2
-    rows = []
-    for delta, table in zip(deltas, tables):
-        for r in table.rows:
-            rows.append(
-                [
-                    delta,
-                    r.method,
-                    r.n_reject,
-                    r.n_total,
-                    r.rate,
-                    r.ci_low,
-                    r.ci_high,
-                    r.n_failed,
-                ]
-            )
-    header = [
-        "delta",
-        "method",
-        "n_reject",
-        "n_total",
-        "rate",
-        "ci_low",
-        "ci_high",
-        "n_failed",
+    header = ["delta", *(f.name for f in fields(MethodSummary))]
+    rows = [
+        [delta, *astuple(r)]
+        for delta, table in zip(deltas, tables)
+        for r in table.rows
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -71,7 +71,8 @@ def load_expression(
         column of ``sample.X`` holding it.
 
     Raises:
-        ParseError: structural problems, with file/line/column locations.
+        ParseError: structural problems or a non-finite value, with
+            file/line/column locations.
         UnlabeledSample: a sample with no group assignment, named.
         GroupTooSmall: fewer than 2 samples in either group.
     """
@@ -100,7 +101,7 @@ def load_expression(
         seen.add(gene)
 
     sidecar = load_labels(labels_path) if labels_path is not None else None
-    sample_ids: list[str] = []
+    sample_ids: set[str] = set()
     groups: list[int] = []
     values: list[list[float]] = []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -144,10 +145,18 @@ def load_expression(
                     f"{path}: line {lineno}, column {header[idx]!r}: "
                     f"not a number: {field!r}"
                 ) from exc
-        sample_ids.append(sample_id)
+        sample_ids.add(sample_id)
         groups.append(group)
         values.append(row_values)
 
+    matrix = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ParseError(
+            f"{path}: line {i + 2}, column {genes[j]!r}: "
+            f"not a finite number: {rows[i + 1][gene_cols[j]].strip()!r}"
+        )
     order1 = [i for i, g in enumerate(groups) if g == 1]
     order2 = [i for i, g in enumerate(groups) if g == 2]
     for label, members in (("1", order1), ("2", order2)):
@@ -155,7 +164,6 @@ def load_expression(
             raise GroupTooSmall(
                 f"group {label} has {len(members)} samples; need at least 2"
             )
-    matrix = np.asarray(values, dtype=float)
     sample = GroupedSample.from_groups(matrix[order1], matrix[order2])
     gene_index = {gene: col for col, gene in enumerate(genes)}
     return sample, gene_index

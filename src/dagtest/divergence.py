@@ -9,6 +9,7 @@ the sample tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
@@ -34,15 +35,14 @@ class PopulationModel:
         Q: true coefficient matrix, strictly upper triangular; entry (i, k) is
             the effect of node i on node k.
         R: positive residual variances (length p).
-        Sigma: implied covariance (I−Qᵀ)⁻¹·diag(R)·(I−Q)⁻¹. Computed when not
-            supplied; when supplied it is checked against (Q, R) to 1e−10.
+
+    The implied covariance ``Sigma`` is computed on first read.
     """
 
     mu1: np.ndarray
     mu2: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    Sigma: np.ndarray | None = None
 
     def __post_init__(self):
         mu1 = np.asarray(self.mu1, dtype=float)
@@ -56,17 +56,15 @@ class PopulationModel:
             raise ValueError("Q must be strictly upper triangular")
         if np.any(R <= 0.0):
             raise ZeroResidualVariance("R must be entrywise positive")
-        implied = sem_covariance(Q, R)
-        if self.Sigma is None:
-            sigma = implied
-        else:
-            sigma = np.asarray(self.Sigma, dtype=float)
-            if sigma.shape != (p, p) or np.max(np.abs(sigma - implied)) > 1e-10:
-                raise ValueError("Sigma is not the covariance implied by (Q, R)")
-        for name, value in (
-            ("mu1", mu1), ("mu2", mu2), ("Q", Q), ("R", R), ("Sigma", sigma)
-        ):
+        if not (np.isfinite(Q).all() and np.isfinite(R).all()):
+            raise ValueError("Q and R must not contain infs or NaNs")
+        for name, value in (("mu1", mu1), ("mu2", mu2), ("Q", Q), ("R", R)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def Sigma(self) -> np.ndarray:
+        """Implied covariance (I−Qᵀ)⁻¹·diag(R)·(I−Q)⁻¹."""
+        return sem_covariance(self.Q, self.R)
 
     @property
     def p(self) -> int:

@@ -36,7 +36,7 @@ Baselines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from scipy.stats import f as f_dist
 from scipy.stats import norm
 
 from .errors import (
+    DagTestError,
     DimensionTooLarge,
     EmptyList,
     InsufficientSamples,
@@ -82,6 +83,8 @@ def reference_p_value(statistic: float, reference: Mapping) -> float:
 class TestResult:
     """One test outcome: statistic, reference law, p-value, and context.
 
+    ``p_value`` is derived, not passed: it is computed once from
+    (statistic, reference) at construction, so it always agrees with them.
     ``meta`` carries the pathway and sample dimensions (p, p0, d, Ne, n1, n2,
     N); graph entries are None for tests that do not use a graph.
     """
@@ -89,20 +92,16 @@ class TestResult:
     method: str
     statistic: float
     reference: Mapping
-    p_value: float
+    p_value: float = field(init=False)
     meta: Mapping
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not (0.0 <= self.p_value <= 1.0):
+        p_value = reference_p_value(self.statistic, self.reference)
+        if not (0.0 <= p_value <= 1.0):
             raise ValueError("p_value must lie in [0, 1]")
-        implied = reference_p_value(self.statistic, self.reference)
-        if abs(implied - self.p_value) > 1e-12:
-            raise ValueError(
-                f"p_value {self.p_value} inconsistent with reference "
-                f"(implied {implied})"
-            )
+        object.__setattr__(self, "p_value", p_value)
 
     def to_dict(self) -> dict:
         return {
@@ -128,11 +127,7 @@ def _meta(sample: GroupedSample, dag: PathwayDag | None) -> dict:
 
 def _result(method, statistic, reference, meta) -> TestResult:
     return TestResult(
-        method=method,
-        statistic=float(statistic),
-        reference=reference,
-        p_value=reference_p_value(float(statistic), reference),
-        meta=meta,
+        method=method, statistic=float(statistic), reference=reference, meta=meta
     )
 
 
@@ -203,8 +198,7 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
-    centered = sample.centered
-    pooled = centered.T @ centered / (n - 1)
+    pooled = sample.gram / (n - 1)
     diff = sample.mean_diff
     try:
         factor = cho_factor(pooled)
@@ -226,8 +220,7 @@ def _bai_saranadasa_statistic(sample: GroupedSample) -> float:
     n1, n2 = sample.n1, sample.n2
     n = n1 + n2 - 2
     tau = (n1 + n2) / (n1 * n2)
-    centered = sample.centered
-    pooled = centered.T @ centered / n
+    pooled = sample.gram / n
     tr_s = float(np.trace(pooled))
     tr_s2 = float(np.sum(pooled * pooled))
     m_stat = float(sample.mean_diff @ sample.mean_diff) - tau * tr_s
@@ -306,6 +299,36 @@ def baseline(
         stat = _chen_qin_statistic(sample)
     reference = {"family": "standard_normal", "tail": "upper"}
     return _result(which, stat, reference, _meta(sample, dag))
+
+
+def run_methods(
+    sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
+) -> tuple[list[TestResult], list[str]]:
+    """Run each named method on one sample, tolerating per-method failures.
+
+    ``t2dag_chi2`` and ``t2dag_z`` share one SEM fit. A method that raises a
+    DagTestError yields the line ``"{method}: {message}"`` in the errors
+    instead of a result.
+
+    Returns:
+        (results in the order of ``methods``, error lines).
+    """
+    results: list[TestResult] = []
+    errors: list[str] = []
+    pair = None
+    for method in methods:
+        try:
+            if method in ("t2dag_chi2", "t2dag_z"):
+                if pair is None:
+                    pair = t2dag(sample, dag)
+                results.append(pair[0] if method == "t2dag_chi2" else pair[1])
+            elif method == "hotelling":
+                results.append(hotelling(sample, dag=dag))
+            else:
+                results.append(baseline(sample, method, dag=dag))
+        except DagTestError as exc:
+            errors.append(f"{method}: {exc}")
+    return results, errors
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ class GroupedSample:
         out[self.n1 :] -= self.means[1]
         return out
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Pooled centered Gram matrix XcᵀXc (p × p), with Xc = ``centered``.
+
+        Hotelling and Bai–Saranadasa read the data only through this matrix
+        and the group means. Read-only, because it is shared.
+        """
+        centered = self.centered
+        out = centered.T @ centered
+        out.flags.writeable = False
+        return out
+
     def reorder_columns(self, order: Sequence[int]) -> "GroupedSample":
         return GroupedSample(
             X=self.X[:, list(order)], g=self.g, n1=self.n1, n2=self.n2
@@ -349,7 +361,7 @@ def _unit_lower_inverse(T: np.ndarray) -> np.ndarray:
     The off-diagonal block of the inverse is −T₂₂⁻¹·T₂₁·T₁₁⁻¹. Diagonal blocks
     with fewer than 32 rows go to BLAS ``dtrsm``, which OpenBLAS runs on the
     calling thread at that size. Larger triangular solves, and every call to
-    LAPACK's ``trtrs`` behind ``scipy.linalg.solve_triangular``, go to its
+    LAPACK's ``trtrs`` (SciPy's general triangular solver), go to its
     worker threads, and on a busy machine each such handoff can wait a
     scheduler tick, which dwarfs the arithmetic of a small solve. Under any
     other BLAS the cut-off is only a block size.

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.stats import beta as beta_dist
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, baseline, hotelling, t2dag
+from .mean_tests import METHODS, run_methods
 from .pathway import EdgePerturbation, PathwayDag, perturb_edges
 from .sem import GroupedSample
 
@@ -290,35 +290,9 @@ def gen_adjacency(
     return PathwayDag.from_edges(edges, p)
 
 
-def _spectral_norm(matrix: np.ndarray, rng: np.random.Generator) -> float:
-    """Largest singular value by power iteration on MᵀM.
-
-    Stops when the relative eigen-residual ‖MᵀM·v − λ̂·v‖ ≤ 5e−12·λ̂, which
-    bounds the relative error of λ̂ by ~1e−11 even without a spectral gap.
-    """
-    mtm = matrix.T @ matrix
-    v = rng.standard_normal(matrix.shape[1])
-    norm_v = np.linalg.norm(v)
-    if norm_v == 0.0:
-        v = np.ones(matrix.shape[1])
-        norm_v = np.linalg.norm(v)
-    v /= norm_v
-    lam = 0.0
-    for _ in range(100_000):
-        w = mtm @ v
-        lam = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        if np.linalg.norm(w - lam * v) <= 5e-12 * lam:
-            break
-        v = w / norm_w
-    return math.sqrt(max(lam, 0.0))
-
-
 def gen_coefficients(dag: PathwayDag, kappa: float = 1.5, seed=None) -> np.ndarray:
     """Coefficient matrix with ±1 signs on the dag's support, rescaled so that
-    ‖Q‖₂ = 1/kappa (spectral norm via seeded power iteration).
+    ‖Q‖₂ = 1/kappa (spectral norm from LAPACK's singular values).
 
     Returns the p×p strictly upper-triangular matrix in topological
     coordinates; an edgeless dag gives the zero matrix.
@@ -334,8 +308,7 @@ def gen_coefficients(dag: PathwayDag, kappa: float = 1.5, seed=None) -> np.ndarr
     flips = rng.integers(0, 2, size=len(support))
     for (i, k), flip in zip(support, flips):
         q0[i, k] = -1.0 if flip else 1.0
-    sigma = _spectral_norm(q0, rng)
-    return q0 / (kappa * sigma)
+    return q0 / (kappa * np.linalg.norm(q0, 2))
 
 
 def gen_errors(family: str, r_values, n: int, seed=None) -> np.ndarray:
@@ -418,8 +391,10 @@ def gen_dataset(
         noise = noise + _confounder_noise(
             cfg.confounders, Q, n, stream_rng(cfg.seed, replicate, _CONFOUNDERS)
         )
-    lower = np.eye(p) - Q.T
-    X = solve_triangular(lower, noise.T, lower=True, unit_diagonal=True).T
+    if not (np.isfinite(Q).all() and np.isfinite(noise).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # BLAS dtrsm rather than LAPACK trtrs: see sem._unit_lower_inverse.
+    X = dtrsm(1.0, np.eye(p) - Q.T, noise.T, lower=1, diag=1).T
     mu1 = np.zeros(p)
     mu2 = np.zeros(p)
     mu2[: cfg.q] = cfg.delta
@@ -453,15 +428,7 @@ class MethodSummary:
     n_failed: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_reject": self.n_reject,
-            "n_total": self.n_total,
-            "rate": self.rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_failed": self.n_failed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,20 +468,10 @@ def _replicate_outcome(
     except (DagTestError, ValueError) as exc:
         notes.append(f"replicate {replicate}: {exc}")
         return decisions, notes
-    pair = None
-    for method in methods:
-        try:
-            if method in ("t2dag_chi2", "t2dag_z"):
-                if pair is None:
-                    pair = t2dag(sample, used_dag)
-                result = pair[0] if method == "t2dag_chi2" else pair[1]
-            elif method == "hotelling":
-                result = hotelling(sample, dag=used_dag)
-            else:
-                result = baseline(sample, method, dag=used_dag)
-            decisions[method] = bool(result.p_value <= cfg.alpha)
-        except DagTestError as exc:
-            notes.append(f"replicate {replicate}, {method}: {exc}")
+    results, errors = run_methods(sample, used_dag, methods)
+    for result in results:
+        decisions[result.method] = bool(result.p_value <= cfg.alpha)
+    notes.extend(f"replicate {replicate}, {line}" for line in errors)
     return decisions, notes
 
 

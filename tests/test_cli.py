@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dagtest.cli import main
@@ -280,6 +281,39 @@ def test_cmd_batch_empty_dir_errors(workdir, capsys):
     )
     assert code == 2
     assert "no *.tsv" in capsys.readouterr().err
+
+
+def test_cmd_batch_rejects_non_finite_expression(tmp_path, capsys):
+    # One NaN in gene A must stop the run at ingest with its location, not
+    # surface later as a numeric failure of every pathway.
+    rng = np.random.default_rng(3)
+    rows = ["sample,A,B,C,group"]
+    for i, vals in enumerate(rng.normal(size=(12, 3)).round(3).tolist()):
+        cells = [repr(v) for v in vals]
+        if i == 4:
+            cells[0] = "nan"
+        rows.append(f"s{i},{','.join(cells)},{1 if i < 6 else 2}")
+    (tmp_path / "expr.csv").write_text("\n".join(rows) + "\n")
+    pw_dir = tmp_path / "pathways"
+    pw_dir.mkdir()
+    (pw_dir / "ab.tsv").write_text("A\tB\n")
+    (pw_dir / "bc.tsv").write_text("B\tC\n")
+    out = tmp_path / "batch.json"
+    code = main(
+        [
+            "batch",
+            "--expression",
+            str(tmp_path / "expr.csv"),
+            "--pathway-dir",
+            str(pw_dir),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 6, column 'A': not a finite number: 'nan'" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

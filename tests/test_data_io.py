@@ -125,6 +125,16 @@ def test_load_expression_structural_errors(tmp_path):
                 "sample,G1,group\ns1,1.0,1\ns2,low,1\ns3,2.0,2\ns4,2.0,2\n",
             )
         )
+    for cell in ("nan", "inf", "-inf", "NaN", "1e999"):
+        with pytest.raises(ParseError, match=r"line 3, column 'G2': not a finite"):
+            load_expression(
+                write(
+                    tmp_path,
+                    "nonfinite.csv",
+                    "sample,G1,G2,group\ns1,1.0,1.0,1\n"
+                    f"s2,1.5,{cell},1\ns3,2.0,2.0,2\ns4,2.0,2.5,2\n",
+                )
+            )
     with pytest.raises(ParseError, match="duplicate sample"):
         load_expression(
             write(

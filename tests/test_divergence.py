@@ -164,22 +164,26 @@ def test_population_model_validation():
             Q=np.array([[0.0, 0.0], [0.5, 0.0]]),  # lower triangular entry
             R=np.ones(2),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infs or NaNs"):
         PopulationModel(
             mu1=np.zeros(2),
             mu2=np.zeros(2),
-            Q=np.zeros((2, 2)),
+            Q=np.array([[0.0, np.nan], [0.0, 0.0]]),
             R=np.ones(2),
-            Sigma=np.array([[1.0, 0.3], [0.3, 1.0]]),  # inconsistent with Q, R
         )
+    Q = np.array([[0.0, 0.5], [0.0, 0.0]])
     model = PopulationModel(
         mu1=np.array([2.0, 1.0]),
         mu2=np.array([0.5, 1.0]),
-        Q=np.zeros((2, 2)),
+        Q=Q,
         R=np.ones(2),
     )
     assert_allclose(model.mean_shift, [1.5, 0.0])
     assert model.p == 2
+    # Sigma is formed on first read only, then kept.
+    assert "Sigma" not in vars(model)
+    assert np.array_equal(model.Sigma, sem_covariance(Q, np.ones(2)))
+    assert model.Sigma is model.Sigma
 
 
 # ---------------------------------------------------------------------------

@@ -438,29 +438,41 @@ def test_reference_p_value_families():
 def test_test_result_consistency_enforced():
     ref = {"family": "chi_squared", "df": 4}
     ok = mean_tests.TestResult(
-        method="t2dag_chi2",
-        statistic=5.0,
-        reference=ref,
-        p_value=float(stats.chi2.sf(5.0, 4)),
-        meta={},
+        method="t2dag_chi2", statistic=5.0, reference=ref, meta={}
     )
+    assert ok.p_value == reference_p_value(5.0, ref)
     assert ok.to_dict()["method"] == "t2dag_chi2"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method"):
         mean_tests.TestResult(
-            method="t2dag_chi2",
-            statistic=5.0,
-            reference=ref,
-            p_value=0.5,
-            meta={},
+            method="unheard_of", statistic=5.0, reference=ref, meta={}
         )
-    with pytest.raises(ValueError):
-        mean_tests.TestResult(
-            method="unheard_of",
-            statistic=5.0,
-            reference=ref,
-            p_value=float(stats.chi2.sf(5.0, 4)),
-            meta={},
-        )
+
+
+def test_run_methods_dispatches_each_method_once(monkeypatch):
+    # p = n - 1: Hotelling's dimension guard fails, the other four run.
+    rng = np.random.default_rng(5)
+    sample = random_sample(rng, 4, 4, 7)
+    dag = chain_dag(7)
+    calls = {"fit_sem": 0, "reference_p_value": 0}
+    for name in calls:
+        real = getattr(mean_tests, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mean_tests, name, counted)
+    methods = ("chen_qin", "t2dag_z", "hotelling", "bai_saranadasa", "t2dag_chi2")
+    results, errors = mean_tests.run_methods(sample, dag, methods)
+    assert [r.method for r in results] == [m for m in methods if m != "hotelling"]
+    assert len(errors) == 1
+    assert errors[0].startswith("hotelling: Hotelling T2 needs n1+n2 > p+1")
+    assert calls == {"fit_sem": 1, "reference_p_value": len(results)}
+    monkeypatch.undo()
+    chi2_res, z_res = t2dag(sample, dag)
+    by_method = {r.method: r for r in results}
+    assert by_method["t2dag_chi2"].statistic == chi2_res.statistic
+    assert by_method["t2dag_z"].statistic == z_res.statistic
 
 
 def test_methods_tuple_is_stable():

@@ -354,7 +354,22 @@ def test_run_experiment_counts_method_failures():
     assert by_method["t2dag_chi2"].n_total == 25
     # Failure notes are capped at 20 plus a "... and K more" summary line.
     assert len(table.failure_notes) == 21
+    assert table.failure_notes[0].startswith(
+        "replicate 0, hotelling: Hotelling T2 needs n1+n2 > p+1"
+    )
     assert table.failure_notes[-1].endswith("more")
+
+
+def test_run_experiment_non_finite_replicates_fail_per_replicate():
+    # An infinite residual variance passes the config check but makes every
+    # replicate's noise non-finite: each replicate fails with a note, and the
+    # experiment still completes.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3, r0=math.inf)
+    table = run_experiment(cfg, methods=("t2dag_chi2", "chen_qin"))
+    assert all(row.n_total == 0 and row.n_failed == 3 for row in table.rows)
+    assert table.failure_notes == tuple(
+        f"replicate {r}: array must not contain infs or NaNs" for r in range(3)
+    )
 
 
 def test_run_experiment_table_serialization():
