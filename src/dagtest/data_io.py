@@ -76,8 +76,17 @@ def load_expression(
         UnlabeledSample: a sample with no group assignment, named.
         GroupTooSmall: fewer than 2 samples in either group.
     """
+    rows: list[list[str]] = []
+    line_nums: list[int] = []
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if any(f.strip() for f in row)]
+        reader = csv.reader(handle)
+        # A quoted field may span lines: number each row by its first line.
+        start = 1
+        for row in reader:
+            if any(f.strip() for f in row):
+                rows.append(row)
+                line_nums.append(start)
+            start = reader.line_num + 1
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one sample row")
     header = [field.strip() for field in rows[0]]
@@ -104,7 +113,7 @@ def load_expression(
     sample_ids: set[str] = set()
     groups: list[int] = []
     values: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in zip(line_nums[1:], rows[1:]):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(header)} fields, "
@@ -154,7 +163,7 @@ def load_expression(
     if bad.size:
         i, j = bad[0].tolist()
         raise ParseError(
-            f"{path}: line {i + 2}, column {genes[j]!r}: "
+            f"{path}: line {line_nums[i + 1]}, column {genes[j]!r}: "
             f"not a finite number: {rows[i + 1][gene_cols[j]].strip()!r}"
         )
     order1 = [i for i, g in enumerate(groups) if g == 1]

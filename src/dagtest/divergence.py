@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import SingularSubmatrix, ZeroResidualVariance
 from .pathway import PathwayDag
@@ -128,7 +128,7 @@ def power_lower_bound(
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     n_eff = n1 * n2 / (n1 + n2)
-    margin = -norm.isf(alpha / 2.0) + n_eff * kl_divergence(model) / np.sqrt(2.0 * p)
+    margin = ndtri(alpha / 2.0) + n_eff * kl_divergence(model) / np.sqrt(2.0 * p)
     if margin <= 0.0:
         return 0.0
-    return float(min(1.0, 1.0 - 2.0 * norm.sf(margin)))
+    return float(min(1.0, 1.0 - 2.0 * ndtr(-margin)))

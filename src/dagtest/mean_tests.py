@@ -41,9 +41,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import f as f_dist
-from scipy.stats import norm
+from scipy.special import chdtrc, fdtrc, ndtr
 
 from .errors import (
     DagTestError,
@@ -66,16 +64,22 @@ def reference_p_value(statistic: float, reference: Mapping) -> float:
     ``{"family": "f", "df1": a, "df2": b, "scale": s, "tail": "upper"}`` where
     the statistic is multiplied by ``s`` before the F tail is taken.
     """
+    # Below the support the scipy.special ufuncs return NaN; the upper tail
+    # there is 1.0.
     family = reference["family"]
     if family == "chi_squared":
-        return float(chi2_dist.sf(statistic, df=reference["df"]))
+        if statistic < 0.0:
+            return 1.0
+        return float(chdtrc(reference["df"], statistic))
     if family == "standard_normal":
         if reference.get("tail") == "two_sided":
-            return float(2.0 * norm.sf(abs(statistic)))
-        return float(norm.sf(statistic))
+            return float(2.0 * ndtr(-abs(statistic)))
+        return float(ndtr(-statistic))
     if family == "f":
         scaled = statistic * reference.get("scale", 1.0)
-        return float(f_dist.sf(scaled, reference["df1"], reference["df2"]))
+        if scaled < 0.0:
+            return 1.0
+        return float(fdtrc(reference["df1"], reference["df2"], scaled))
     raise ValueError(f"unknown reference family {family!r}")
 
 

@@ -279,10 +279,12 @@ class SemEstimate:
             raise ValueError("Q_hat must be p×p and R_hat length p")
         if np.any(np.tril(Q) != 0.0):
             raise ValueError("Q_hat must be strictly upper triangular")
+        parent_sets = self.dag.parent_sets
         allowed = np.zeros((p, p), dtype=bool)
-        for k, parents in enumerate(self.dag.parent_sets):
-            for i in parents:
-                allowed[i, k] = True
+        allowed[
+            [i for parents in parent_sets for i in parents],
+            [k for k, parents in enumerate(parent_sets) for _ in parents],
+        ] = True
         if np.any(Q[~allowed] != 0.0):
             raise ValueError("Q_hat has support outside the dag's parent sets")
         if np.any(R <= 0.0):

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError
@@ -163,7 +163,9 @@ class SimConfig:
         )
         need(0.0 < self.nb_success < 1.0, "/nb_success", "must lie in (0, 1)")
         need(self.kappa > 0.0, "/kappa", "must be positive")
+        need(math.isfinite(self.kappa), "/kappa", "must be finite")
         need(self.r0 > 0.0, "/r0", "must be positive")
+        need(math.isfinite(self.r0), "/r0", "must be finite")
         need(math.isfinite(self.delta), "/delta", "must be finite")
         need(0.0 <= self.q_fraction <= 1.0, "/q_fraction", "must lie in [0, 1]")
         need(
@@ -452,8 +454,8 @@ def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]
     if n == 0:
         return 0.0, 1.0
     tail = (1.0 - level) / 2.0
-    low = 0.0 if k == 0 else float(beta_dist.ppf(tail, k, n - k + 1))
-    high = 1.0 if k == n else float(beta_dist.ppf(1.0 - tail, k + 1, n - k))
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
     return low, high
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior for test, batch, and simulate."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -399,6 +400,13 @@ def test_cmd_simulate_reports_config_errors(tmp_path, capsys):
     code, _ = run_simulate(tmp_path, grid, "grid")
     assert code == 2
     assert "config error at /delta_grid" in capsys.readouterr().err
+
+    # JSON "Infinity" parses to a float; it must not reach the generator.
+    infinite = dict(SIM_CONFIG)
+    infinite["r0"] = math.inf
+    code, _ = run_simulate(tmp_path, infinite, "infinite")
+    assert code == 2
+    assert "config error at /r0" in capsys.readouterr().err
 
 
 def test_cmd_simulate_custom_methods(tmp_path):

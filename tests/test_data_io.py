@@ -1,6 +1,7 @@
 """Expression/label loading, pathway alignment, and serialization helpers."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_load_expression_structural_errors(tmp_path):
         load_expression(
             write(tmp_path, "dupg.csv", "sample,G1,G1,group\ns1,1,2,1\n")
         )
+    # Blank lines are skipped but still counted: messages name file lines.
+    blank = "sample,G1,G2,group\n\ns1,1.0,1.0,1\n \n"
+    for row, message in (
+        ("s2,1.5,abc,1", "line 5, column 'G2': not a number: 'abc'"),
+        ("s2,1.5,inf,1", "line 5, column 'G2': not a finite number: 'inf'"),
+        ("s2,1.5", "line 5: expected 4 fields, got 2"),
+        (",1.5,2.5,1", "line 5: empty sample id"),
+        ("s1,1.5,2.5,1", "line 5: duplicate sample id 's1'"),
+        ("s2,1.5,2.5,3", "line 5: group must be 1 or 2, got '3'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_expression(
+                write(
+                    tmp_path,
+                    "blank.csv",
+                    blank + row + "\ns3,2.0,2.0,2\ns4,2.0,2.5,2\n",
+                )
+            )
+    # A quoted field spanning lines: a row is numbered by its first line.
+    quoted = 'sample,G1,G2,group\n"s\n1",1.0,1.0,1\n\ns2,abc,1.0,1\n'
+    with pytest.raises(ParseError, match=re.escape("line 5, column 'G1'")):
+        load_expression(write(tmp_path, "quoted.csv", quoted))
+    quoted = 'sample,G1,G2,group\ns1,1.0,"1.\n5",1\n'
+    with pytest.raises(ParseError, match=re.escape("line 2, column 'G2'")):
+        load_expression(write(tmp_path, "quoted2.csv", quoted))
 
 
 def test_load_expression_group_too_small(tmp_path):

@@ -1,6 +1,8 @@
 """Test statistics: DAG-informed quadratic form, Hotelling, BS/CQ baselines."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from dagtest.mean_tests import (
     reference_p_value,
     t2dag,
 )
+from dagtest.divergence import PopulationModel, kl_divergence, power_lower_bound
 from dagtest.pathway import PathwayDag
 from dagtest.sem import GroupedSample, dag_precision, fit_sem
+from dagtest.simulate import _clopper_pearson
 
 
 def random_sample(rng, n1, n2, p, shift=0.0):
@@ -433,6 +437,86 @@ def test_reference_p_value_families():
     )
     with pytest.raises(ValueError):
         reference_p_value(1.0, {"family": "cauchy"})
+
+
+def _same(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_reference_tails_equal_scipy_stats_exactly():
+    # dagtest computes tails with scipy.special; scipy.stats, the reference
+    # here, wraps the same functions with its own out-of-support rules.
+    edges = [-math.inf, -1.0, -1e-300, 0.0, 5e-324, math.inf, math.nan]
+    inner = np.geomspace(1e-3, 3e3, 16).tolist()
+    stats_grid = edges + inner
+    for df in range(1, 1001):
+        ref = {"family": "chi_squared", "df": df, "tail": "upper"}
+        want = stats.chi2.sf(np.array(stats_grid + [float(df)]), df)
+        for x, w in zip(stats_grid + [float(df)], want.tolist()):
+            assert _same(reference_p_value(x, ref), w), (df, x)
+    for df1 in (1, 2, 3, 5, 10, 30, 60, 100):
+        for df2 in (1, 2, 4, 7, 15, 40, 99, 180):
+            for scale in (1.0, 0.37):
+                ref = {"family": "f", "df1": df1, "df2": df2, "scale": scale}
+                want = stats.f.sf(np.array(stats_grid) * scale, df1, df2)
+                for x, w in zip(stats_grid, want.tolist()):
+                    assert _same(reference_p_value(x, ref), w), (df1, df2, x)
+    z_grid = edges + [-x for x in inner] + inner
+    upper = stats.norm.sf(np.array(z_grid)).tolist()
+    two_sided = (2.0 * stats.norm.sf(np.abs(z_grid))).tolist()
+    for x, w_up, w_two in zip(z_grid, upper, two_sided):
+        got_up = reference_p_value(x, {"family": "standard_normal", "tail": "upper"})
+        got_two = reference_p_value(
+            x, {"family": "standard_normal", "tail": "two_sided"}
+        )
+        assert _same(got_up, w_up) and _same(got_two, w_two), x
+
+    rng = np.random.default_rng(11)
+    for p in (1, 3, 20, 300):
+        for scale in (0.0, 0.05, 0.3, 1.0, 4.0):
+            model = PopulationModel(
+                mu1=np.zeros(p),
+                mu2=rng.normal(scale=scale, size=p),
+                Q=np.zeros((p, p)),
+                R=rng.uniform(0.5, 2.0, size=p),
+            )
+            for n1, n2, alpha in ((5, 7, 0.05), (40, 40, 0.01), (300, 200, 0.2)):
+                margin = -stats.norm.isf(alpha / 2.0) + (
+                    n1 * n2 / (n1 + n2)
+                ) * kl_divergence(model) / np.sqrt(2.0 * p)
+                want = (
+                    0.0
+                    if margin <= 0.0
+                    else float(min(1.0, 1.0 - 2.0 * stats.norm.sf(margin)))
+                )
+                assert power_lower_bound(model, n1, n2, p, alpha) == want
+
+    for n in list(range(1, 121)) + [500, 999, 5000]:
+        for level in (0.9, 0.95, 0.99):
+            tail = (1.0 - level) / 2.0
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                low = 0.0 if k == 0 else float(stats.beta.ppf(tail, k, n - k + 1))
+                high = (
+                    1.0
+                    if k == n
+                    else float(stats.beta.ppf(1.0 - tail, k + 1, n - k))
+                )
+                assert _clopper_pearson(k, n, level) == (low, high), (k, n, level)
+
+
+def test_import_does_not_load_scipy_stats():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, dagtest, dagtest.cli; "
+            "print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_test_result_consistency_enforced():

@@ -288,6 +288,43 @@ def test_sem_estimate_validation():
         )
 
 
+def _support_error_reference(Q, dag):
+    """The support check written as loops over the dag's parent sets."""
+    if np.any(np.tril(Q) != 0.0):
+        return "Q_hat must be strictly upper triangular"
+    allowed = np.zeros(Q.shape, dtype=bool)
+    for k, parents in enumerate(dag.parent_sets):
+        for i in parents:
+            allowed[i, k] = True
+    if np.any(Q[~allowed] != 0.0):
+        return "Q_hat has support outside the dag's parent sets"
+    return None
+
+
+def test_sem_estimate_support_check_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        p = int(rng.integers(1, 9))
+        edges = [
+            (i, k) for k in range(p) for i in range(k) if rng.random() < 0.4
+        ]
+        dag = PathwayDag.from_edges(edges, p=p)
+        Q = np.zeros((p, p))
+        for k, parents in enumerate(dag.parent_sets):
+            for i in parents:
+                Q[i, k] = rng.choice([0.0, 0.7, -1.2, np.nan])
+        for _ in range(int(rng.integers(0, 3))):
+            i, k = rng.integers(0, p, size=2)
+            Q[i, k] = rng.choice([0.4, np.nan, np.inf])
+        expected = _support_error_reference(Q, dag)
+        if expected is None:
+            SemEstimate(Q_hat=Q, R_hat=np.ones(p), dag=dag)
+        else:
+            with pytest.raises(ValueError) as err:
+                SemEstimate(Q_hat=Q, R_hat=np.ones(p), dag=dag)
+            assert str(err.value) == expected, trial
+
+
 def test_sem_estimate_to_dict_layout():
     dag = PathwayDag.from_edges([(0, 2), (1, 2)], p=3)
     Q = np.zeros((3, 3))

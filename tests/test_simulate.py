@@ -282,6 +282,8 @@ def test_sim_config_dict_round_trip():
         ({"replicates": 0}, "/replicates"),
         ({"alpha": 1.0}, "/alpha"),
         ({"seed": -1}, "/seed"),
+        ({"kappa": math.inf}, "/kappa"),
+        ({"r0": math.inf}, "/r0"),
     ],
 )
 def test_sim_config_validation_paths(patch, path):
@@ -361,10 +363,12 @@ def test_run_experiment_counts_method_failures():
 
 
 def test_run_experiment_non_finite_replicates_fail_per_replicate():
-    # An infinite residual variance passes the config check but makes every
-    # replicate's noise non-finite: each replicate fails with a note, and the
-    # experiment still completes.
-    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3, r0=math.inf)
+    # The config rejects an infinite residual variance; one forced past that
+    # check makes every replicate's noise non-finite, and the generator's own
+    # check still fails each replicate with a note while the experiment
+    # completes.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3)
+    object.__setattr__(cfg, "r0", math.inf)
     table = run_experiment(cfg, methods=("t2dag_chi2", "chen_qin"))
     assert all(row.n_total == 0 and row.n_failed == 3 for row in table.rows)
     assert table.failure_notes == tuple(
