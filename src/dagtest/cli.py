@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -31,7 +30,7 @@ from .data_io import (
     log2_shift_transform,
 )
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, run_methods
+from .mean_tests import METHODS, map_in_order, run_methods
 from .pathway import acyclic_reduction, parse_edge_document
 from .sem import GroupedSample
 from .simulate import MethodSummary, SimConfig, run_experiment
@@ -180,12 +179,7 @@ def cmd_batch(args) -> int:
         outcome["wall_clock_s"] = time.perf_counter() - start
         return outcome
 
-    if args.threads == 1:
-        outcomes = [worker(path) for path in files]
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(worker, files))
-
+    outcomes = map_in_order(worker, files, args.threads)
     n_analyzed = sum(1 for o in outcomes if o["results"])
     threshold = args.alpha0 / n_analyzed if n_analyzed else None
     for outcome in outcomes:

@@ -36,8 +36,9 @@ Baselines:
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -195,7 +196,8 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
 
     Raises:
         DimensionTooLarge: unless n1+n2 > p+1.
-        SingularCovariance: pooled covariance not positive definite.
+        SingularCovariance: pooled covariance not finite or not positive
+            definite.
     """
     p, n = sample.p, sample.n
     if n <= p + 1:
@@ -203,9 +205,11 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
     pooled = sample.gram / (n - 1)
+    if not np.isfinite(pooled).all():
+        raise SingularCovariance("pooled covariance is not finite")
     diff = sample.mean_diff
     try:
-        factor = cho_factor(pooled)
+        factor = cho_factor(pooled, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"pooled covariance is singular: {exc}") from exc
     t2 = sample.effective_n * float(diff @ cho_solve(factor, diff))
@@ -237,20 +241,18 @@ def _bai_saranadasa_statistic(sample: GroupedSample) -> float:
     return m_stat / math.sqrt(variance)
 
 
-def _within_trace(X: np.ndarray) -> float:
-    """Leave-two-out estimate of tr(Σ²) from one group's rows."""
-    n = X.shape[0]
-    gram = X @ X.T
+def _within_trace(gram: np.ndarray) -> float:
+    """Leave-two-out estimate of tr(Σ²) from one group's row Gram XXᵀ."""
+    n = gram.shape[0]
     row_sum = gram.sum(axis=1)
     adj = gram - (row_sum[:, None] - np.diag(gram)[:, None] - gram) / (n - 2.0)
     np.fill_diagonal(adj, 0.0)
     return float(np.sum(adj * adj.T)) / (n * (n - 1.0))
 
 
-def _cross_trace(X1: np.ndarray, X2: np.ndarray) -> float:
-    """Leave-one-out estimate of tr(Σ₁Σ₂) from both groups' rows."""
-    n1, n2 = X1.shape[0], X2.shape[0]
-    cross = X1 @ X2.T
+def _cross_trace(cross: np.ndarray) -> float:
+    """Leave-one-out estimate of tr(Σ₁Σ₂) from the cross Gram X₁X₂ᵀ."""
+    n1, n2 = cross.shape
     left = cross - (cross.sum(axis=0)[None, :] - cross) / (n1 - 1.0)
     right = cross - (cross.sum(axis=1)[:, None] - cross) / (n2 - 1.0)
     return float(np.sum(left * right)) / (n1 * n2)
@@ -268,9 +270,9 @@ def _chen_qin_statistic(sample: GroupedSample) -> float:
         - 2.0 * h.sum() / (n1 * n2)
     )
     variance = (
-        2.0 / (n1 * (n1 - 1.0)) * _within_trace(X1)
-        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(X2)
-        + 4.0 / (n1 * n2) * _cross_trace(X1, X2)
+        2.0 / (n1 * (n1 - 1.0)) * _within_trace(g1)
+        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(g2)
+        + 4.0 / (n1 * n2) * _cross_trace(h)
     )
     if not variance > 0.0:
         raise SingularCovariance(
@@ -333,6 +335,18 @@ def run_methods(
         except DagTestError as exc:
             errors.append(f"{method}: {exc}")
     return results, errors
+
+
+def map_in_order(fn: Callable, items: Iterable, threads: int) -> list:
+    """[fn(item) for item in items], in item order.
+
+    With ``threads == 1`` every call runs on the calling thread; otherwise the
+    calls run on a pool of ``threads`` worker threads.
+    """
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

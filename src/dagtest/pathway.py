@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,9 +32,9 @@ from .errors import (
 Edge = tuple[int, int]
 
 
-def _round_count(x: float) -> int:
-    """Round a nonnegative count half-up (4.5 -> 5), deterministically."""
-    return int(np.floor(x + 0.5))
+def round_half_up(x: float) -> int:
+    """Round a nonnegative quantity with ties going up (0.5 -> 1)."""
+    return math.floor(x + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ class EdgePerturbation:
             raise ValueError("fraction must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "fraction": self.fraction, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "EdgePerturbation":
@@ -353,7 +354,7 @@ def perturb_edges(
     """
     if pert.mode == "none":
         return dag
-    k_change = _round_count(pert.fraction * dag.n_edges)
+    k_change = round_half_up(pert.fraction * dag.n_edges)
     if k_change == 0:
         return dag
     if rng is None:

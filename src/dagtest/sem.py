@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     InsufficientSamples,
@@ -357,35 +357,11 @@ def sem_precision(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (B / R[np.newaxis, :]) @ B.T
 
 
-def _unit_lower_inverse(T: np.ndarray) -> np.ndarray:
-    """T⁻¹ for unit lower-triangular T, by 2×2 block recursion.
-
-    The off-diagonal block of the inverse is −T₂₂⁻¹·T₂₁·T₁₁⁻¹. Diagonal blocks
-    with fewer than 32 rows go to BLAS ``dtrsm``, which OpenBLAS runs on the
-    calling thread at that size. Larger triangular solves, and every call to
-    LAPACK's ``trtrs`` (SciPy's general triangular solver), go to its
-    worker threads, and on a busy machine each such handoff can wait a
-    scheduler tick, which dwarfs the arithmetic of a small solve. Under any
-    other BLAS the cut-off is only a block size.
-    """
-    p = T.shape[0]
-    if p < 32:
-        return dtrsm(1.0, T, np.eye(p), lower=1, diag=1)
-    h = p // 2
-    top = _unit_lower_inverse(T[:h, :h])
-    bottom = _unit_lower_inverse(T[h:, h:])
-    inv = np.zeros((p, p))
-    inv[:h, :h] = top
-    inv[h:, h:] = bottom
-    inv[h:, :h] = -(bottom @ T[h:, :h]) @ top
-    return inv
-
-
 def sem_covariance(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(I−Qᵀ)⁻¹·diag(R)·(I−Q)⁻¹, formed as L·diag(R)·Lᵀ with L = (I−Qᵀ)⁻¹.
 
-    L is the inverse of the unit lower-triangular factor (I−Q)ᵀ; no general
-    inverse or LU factorization is formed.
+    L is the inverse of the unit lower-triangular factor (I−Q)ᵀ, from one
+    LAPACK ``dtrtri`` call; no general inverse or LU factorization is formed.
     """
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -393,7 +369,11 @@ def sem_covariance(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
         raise ValueError("Q and R must not contain infs or NaNs")
     if np.any(R <= 0.0):
         raise ZeroResidualVariance("all residual variances must be positive")
-    L = _unit_lower_inverse(np.eye(Q.shape[0]) - Q.T)
+    p = Q.shape[0]
+    if p == 0:
+        # dtrtri rejects a 0×0 matrix (info = -5) and prints an error line.
+        return np.zeros((0, 0))
+    L, _info = dtrtri(np.eye(p) - Q.T, lower=1, unitdiag=1)
     return (L * R) @ L.T
 
 

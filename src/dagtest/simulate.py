@@ -12,7 +12,6 @@ independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
@@ -22,19 +21,14 @@ from scipy.special import betaincinv
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, run_methods
-from .pathway import EdgePerturbation, PathwayDag, perturb_edges
+from .mean_tests import METHODS, map_in_order, run_methods
+from .pathway import EdgePerturbation, PathwayDag, perturb_edges, round_half_up
 from .sem import GroupedSample
 
 ERROR_FAMILIES = ("gaussian", "uniform", "gamma", "lognormal")
 
 # Substreams of one replicate's randomness (see stream_rng).
 _ADJACENCY, _COEFFICIENTS, _ERRORS, _CONFOUNDERS, _PERTURBATION = range(5)
-
-
-def round_half_up(x: float) -> int:
-    """Round a nonnegative quantity with ties going up (0.5 -> 1)."""
-    return int(math.floor(x + 0.5))
 
 
 def stream_rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
@@ -90,12 +84,7 @@ class ConfounderConfig:
             raise ConfigError("/confounders/c_scale", "must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "sigma_w_rule": self.sigma_w_rule,
-            "c_density": self.c_density,
-            "c_scale": self.c_scale,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -195,24 +184,7 @@ class SimConfig:
         return round_half_up(self.q_fraction * self.p)
 
     def to_dict(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "p": self.p,
-            "p0_fraction": self.p0_fraction,
-            "nb_failures": self.nb_failures,
-            "nb_success": self.nb_success,
-            "kappa": self.kappa,
-            "r0": self.r0,
-            "delta": self.delta,
-            "q_fraction": self.q_fraction,
-            "error_family": self.error_family,
-            "confounders": self.confounders.to_dict() if self.confounders else None,
-            "perturbation": self.perturbation.to_dict(),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "alpha": self.alpha,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SimConfig":
@@ -332,6 +304,9 @@ def gen_errors(family: str, r_values, n: int, seed=None) -> np.ndarray:
         return rng.normal(0.0, np.sqrt(r), size=(n, p))
     if family == "uniform":
         half = np.sqrt(3.0 * r)
+        # numpy refuses an infinite range with OverflowError.
+        if not np.isfinite(half).all():
+            raise ValueError("uniform half-width sqrt(3*r) is not finite")
         return rng.uniform(-half, half, size=(n, p))
     if family == "gamma":
         scale = np.sqrt(r / 10.0)
@@ -395,7 +370,10 @@ def gen_dataset(
         )
     if not (np.isfinite(Q).all() and np.isfinite(noise).all()):
         raise ValueError("array must not contain infs or NaNs")
-    # BLAS dtrsm rather than LAPACK trtrs: see sem._unit_lower_inverse.
+    # BLAS dtrsm rather than LAPACK trtrs (scipy's solve_triangular): OpenBLAS
+    # hands every trtrs call to its worker threads, whatever its size, and on a
+    # busy machine each handoff can wait a scheduler tick; dtrsm keeps small
+    # solves on the calling thread.
     X = dtrsm(1.0, np.eye(p) - Q.T, noise.T, lower=1, diag=1).T
     mu1 = np.zeros(p)
     mu2 = np.zeros(p)
@@ -496,14 +474,9 @@ def run_experiment(
             raise ValueError(f"unknown method {method!r}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    indices = range(cfg.replicates)
-    if threads == 1:
-        outcomes = [_replicate_outcome(cfg, r, methods) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda r: _replicate_outcome(cfg, r, methods), indices)
-            )
+    outcomes = map_in_order(
+        lambda r: _replicate_outcome(cfg, r, methods), range(cfg.replicates), threads
+    )
     n_reject = dict.fromkeys(methods, 0)
     n_total = dict.fromkeys(methods, 0)
     n_failed = dict.fromkeys(methods, 0)

@@ -317,6 +317,43 @@ def test_cmd_batch_rejects_non_finite_expression(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
+    # 1e200 is a finite cell, but its square overflows, so every method on a
+    # pathway that holds gene A fails; the other pathway is still analyzed.
+    rng = np.random.default_rng(3)
+    rows = ["sample,A,B,C,group"]
+    for i, vals in enumerate(rng.normal(size=(12, 3)).round(3).tolist()):
+        cells = [repr(v) for v in vals]
+        if i == 4:
+            cells[0] = "1e200"
+        rows.append(f"s{i},{','.join(cells)},{1 if i < 6 else 2}")
+    (tmp_path / "expr.csv").write_text("\n".join(rows) + "\n")
+    pw_dir = tmp_path / "pathways"
+    pw_dir.mkdir()
+    (pw_dir / "abc.tsv").write_text("A\tB\nB\tC\n")
+    (pw_dir / "bc.tsv").write_text("B\tC\n")
+    out = tmp_path / "batch.json"
+    code = main(
+        [
+            "batch",
+            "--expression",
+            str(tmp_path / "expr.csv"),
+            "--pathway-dir",
+            str(pw_dir),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["n_analyzed"] == 1
+    abc, bc = report["pathways"]
+    assert bc["name"] == "bc" and len(bc["results"]) == 5 and bc["errors"] == []
+    assert abc["name"] == "abc" and abc["results"] == []
+    assert "hotelling: pooled covariance is not finite" in abc["errors"]
+    assert "abc: FAILED" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """SEM estimation layer: per-node OLS, assembly, precision/covariance."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -362,6 +365,33 @@ def test_sem_precision_diagonal_case():
     R = np.array([2.0, 0.5, 4.0])
     assert_allclose(sem_precision(np.zeros((3, 3)), R), np.diag(1.0 / R), atol=1e-15)
     assert_allclose(sem_covariance(np.zeros((3, 3)), R), np.diag(R), atol=1e-15)
+
+
+def test_sem_covariance_dense_oracle_and_empty():
+    rng = np.random.default_rng(23)
+    for p in (1, 31, 32, 33, 100):
+        Q = np.triu(rng.uniform(-0.5, 0.5, (p, p)) * (rng.random((p, p)) < 3 / p), 1)
+        R = rng.uniform(0.2, 3.0, size=p)
+        B = np.eye(p) - Q
+        dense = np.linalg.inv(B @ np.diag(1.0 / R) @ B.T)
+        S = sem_covariance(Q, R)
+        assert_allclose(S, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+    with pytest.raises(ZeroResidualVariance, match="must be positive"):
+        sem_covariance(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    # LAPACK refuses a 0×0 matrix and prints an error line from native code,
+    # which only a separate process sees; p = 0 must not reach it.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import numpy as np; from dagtest.sem import sem_covariance; "
+            "S = sem_covariance(np.zeros((0, 0)), np.zeros(0)); "
+            "assert S.shape == (0, 0) and S.dtype == float",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def random_estimate(rng, p):

@@ -376,6 +376,19 @@ def test_run_experiment_non_finite_replicates_fail_per_replicate():
     )
 
 
+def test_run_experiment_uniform_overflow_fails_per_replicate():
+    # sqrt(3 * 1e308) overflows; each replicate fails with a note instead of
+    # numpy's OverflowError ending the experiment.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3, r0=1e308, error_family="uniform")
+    table = run_experiment(cfg, methods=("t2dag_chi2", "chen_qin"))
+    assert all(row.n_total == 0 and row.n_failed == 3 for row in table.rows)
+    assert table.failure_notes == tuple(
+        f"replicate {r}: uniform half-width sqrt(3*r) is not finite" for r in range(3)
+    )
+    with pytest.raises(ValueError, match="half-width"):
+        gen_errors("uniform", np.array([1.0, math.inf]), n=4, seed=0)
+
+
 def test_run_experiment_table_serialization():
     cfg = SimConfig(n1=12, n2=12, p=6, replicates=4, seed=29)
     table = run_experiment(cfg, methods=("t2dag_z",))
