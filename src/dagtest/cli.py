@@ -30,7 +30,7 @@ from .data_io import (
     log2_shift_transform,
 )
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, map_in_order, run_methods
+from .mean_tests import METHODS, bonferroni_adjust, map_in_order, run_methods
 from .pathway import acyclic_reduction, parse_edge_document
 from .sem import GroupedSample
 from .simulate import MethodSummary, SimConfig, run_experiment
@@ -180,13 +180,23 @@ def cmd_batch(args) -> int:
         return outcome
 
     outcomes = map_in_order(worker, files, args.threads)
-    n_analyzed = sum(1 for o in outcomes if o["results"])
-    threshold = args.alpha0 / n_analyzed if n_analyzed else None
+    analyzed = [o for o in outcomes if o["results"]]
+    n_analyzed = len(analyzed)
+    threshold = None
     for outcome in outcomes:
-        outcome["decisions"] = {
-            r["method"]: bool(r["p_value"] <= threshold)
-            for r in outcome["results"]
-        }
+        outcome["decisions"] = {}
+    # Each method's family is the H analyzed pathways; where the method
+    # failed on one of them, that test counts toward H unrejected.
+    for method in methods if analyzed else ():
+        p_values = [
+            {r["method"]: r["p_value"] for r in o["results"]}.get(method)
+            for o in analyzed
+        ]
+        family = bonferroni_adjust(p_values, args.alpha0)
+        threshold = family.threshold
+        for outcome, p_value, reject in zip(analyzed, p_values, family.decisions):
+            if p_value is not None:
+                outcome["decisions"][method] = reject
     report = {
         "alpha0": args.alpha0,
         "n_files": len(files),

@@ -148,8 +148,9 @@ def t2dag(
     """The DAG-informed chi-squared statistic and its z standardization.
 
     The quadratic form is evaluated without forming the dense precision
-    matrix: with y = (I−Q̂)ᵀ(x̄⁽¹⁾−x̄⁽²⁾) computed by one sparse parent-set
-    sweep, chi2 = N·Σ_k y_k²/r̂_k, which is O(Ne + p).
+    matrix: with d = x̄⁽¹⁾−x̄⁽²⁾ in topological order and y = (I−Q̂)ᵀd = d − Q̂ᵀd
+    from one dense matrix-vector product, chi2 = N·Σ_k y_k²/r̂_k, which is
+    O(p²).
 
     Args:
         estimate: optionally a pre-computed fit of (sample, dag); when omitted
@@ -161,11 +162,8 @@ def t2dag(
     """
     est = estimate if estimate is not None else fit_sem(sample, dag)
     p = dag.p
-    d_topo = sample.mean_diff[list(dag.topo_order)]
-    y = d_topo.copy()
-    for k, parents in enumerate(dag.parent_sets):
-        if parents:
-            y[k] -= est.Q_hat[list(parents), k] @ d_topo[list(parents)]
+    d = sample.mean_diff[list(dag.topo_order)]
+    y = d - est.Q_hat.T @ d
     chi2_stat = sample.effective_n * float(np.sum(y * y / est.R_hat))
     z_stat = (chi2_stat - p) / math.sqrt(2.0 * p)
     meta = _meta(sample, dag)
@@ -358,8 +356,12 @@ class BonferroniResult(NamedTuple):
     decisions: tuple[bool, ...]
 
 
-def bonferroni_adjust(p_values: Sequence[float], alpha0: float) -> BonferroniResult:
+def bonferroni_adjust(
+    p_values: Sequence[float | None], alpha0: float
+) -> BonferroniResult:
     """Family-wise error control across H tests: reject iff p ≤ alpha0/H.
+
+    A test that gave no p-value (None) counts toward H and is not rejected.
 
     Raises:
         EmptyList: no p-values supplied.
@@ -372,5 +374,5 @@ def bonferroni_adjust(p_values: Sequence[float], alpha0: float) -> BonferroniRes
     threshold = alpha0 / len(values)
     return BonferroniResult(
         threshold=threshold,
-        decisions=tuple(pv <= threshold for pv in values),
+        decisions=tuple(pv is not None and pv <= threshold for pv in values),
     )

@@ -138,11 +138,6 @@ class PathwayDag:
         """d, the largest parent-set size."""
         return max((len(s) for s in self.parent_sets), default=0)
 
-    @property
-    def children_positions(self) -> tuple[int, ...]:
-        """Topological positions of nodes with nonempty parent sets."""
-        return tuple(k for k, s in enumerate(self.parent_sets) if s)
-
     def label_of(self, node: int) -> str:
         return self.node_labels[node] if self.node_labels else str(node)
 

@@ -7,6 +7,13 @@ intercept design W = [1, g]; the projection onto W is applied implicitly by
 centering each group at its own mean, which is algebraically identical and
 costs O(np) instead of forming an n×n projector.
 
+One kernel, ``_fit_columns``, does every node fit. ``fit_sem`` calls it once
+per parent count, on the stack of all nodes with that count: no parents
+leaves the centered column, one parent is a vectorized simple regression, and
+two or more go through one stacked SVD. ``fit_node`` is the same kernel on a
+single node. Errors are reported as a node-by-node sweep in topological order
+would meet them first.
+
 Everything in this module indexes nodes by *topological position*; `fit_sem`
 translates from the original column order at entry.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -103,11 +111,6 @@ class GroupedSample:
         out.flags.writeable = False
         return out
 
-    def group_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh, writeable copies of the two rows of ``means``."""
-        m1, m2 = self.means.copy()
-        return m1, m2
-
     @property
     def mean_diff(self) -> np.ndarray:
         """x̄⁽¹⁾ − x̄⁽²⁾ as a length-p vector."""
@@ -116,9 +119,21 @@ class GroupedSample:
     @cached_property
     def centered(self) -> np.ndarray:
         """X with each group centered at its own column means: (I − P_W)X."""
-        out = self.X.copy()
-        out[: self.n1] -= self.means[0]
-        out[self.n1 :] -= self.means[1]
+        return self._fit_rows[: self.n]
+
+    @cached_property
+    def _fit_rows(self) -> np.ndarray:
+        """(n+2) × p: ``centered``, then the two rows of ``means``.
+
+        Node fits take their columns from here. The mean rows go through a
+        fit's residual product with the data rows, which turns them into the
+        parent-adjusted means x̄_j − x̄_S·q̂ that θ̂ is made of.
+        """
+        n1, n = self.n1, self.n
+        out = np.empty((n + 2, self.p))
+        np.subtract(self.X[:n1], self.means[0], out=out[:n1])
+        np.subtract(self.X[n1:], self.means[1], out=out[n1:n])
+        out[n:] = self.means
         return out
 
     @cached_property
@@ -179,6 +194,21 @@ class NodeFit:
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# Dot products along the last axis; numpy < 2.0 has no ``vecdot``.
+_vecdot_stack = getattr(np, "vecdot", None) or (
+    lambda a, b: np.einsum("...n,...n->...", a, b)
+)
+
+
+def _vecdot(a, b):
+    # ndarray.dot costs half as much for a single pair.
+    return a.dot(b) if a.ndim == 1 else _vecdot_stack(a, b)
+
+
+def _any(mask) -> bool:
+    # A 0-d mask is one Python bool; for a stack, a test of the mask's bytes
+    # costs a tenth of ``mask.any()``.
+    return bool(mask) if mask.ndim == 0 else b"\x01" in mask.tobytes()
 
 
 def _svd_coefficients(A: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
@@ -192,16 +222,125 @@ def _svd_coefficients(A: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
     return Vt.T @ ((U.T @ y) / s)
 
 
+def _fit_columns(y, A, nodes):
+    """OLS fits of target columns, each on its own block of k parent columns.
+
+    Every column holds n group-centered values followed by its two group
+    means (the layout of ``GroupedSample._fit_rows``). The solve reads the
+    first n rows only; the residual product covers all n + 2, so its last two
+    entries are the parent-adjusted means x̄_j − x̄_S·q̂.
+
+    Shapes broadcast over leading axes: ``fit_node`` passes one fit with no
+    leading axis, ``fit_sem`` a stack of fits that share one parent count,
+    and each step is one numpy call for the whole stack. With no parents the
+    residual is the centered column; one parent is the simple regression
+    q̂ = a·y / a·a; two or more parents go through one stacked SVD under the
+    rank rule of ``_svd_coefficients``. Fits that rule must see one at a time
+    go through ``_fit_apart``.
+
+    Args:
+        y: (…, n+2) target columns.
+        A: (…, n+2, k) parent blocks.
+        nodes: (…) topological positions, named in error messages.
+
+    Returns:
+        (q̂, adjusted, rss, failures): (…, k) coefficients; (…, 2)
+        parent-adjusted means, group 1 then group 2; (…) residual sums of
+        squares; and {flat index: exception} for the fits that failed, whose
+        entries are NaN.
+    """
+    n, k = A.shape[-2] - 2, A.shape[-1]
+    if k == 0:
+        # q̂ is empty: one row of the (…, n+2, 0) blocks.
+        return A[..., 0, :], *_split(y, n), {}
+    if k == 1:
+        a = A[..., :n, 0]
+        aa = _vecdot(a, a)
+        # The SVD rule grants rank 1 to every nonzero column (eps·n < 1), so
+        # only a zero or non-finite column needs it.
+        apart = ~((_TINY < aa) & (aa < math.inf))
+        if _any(apart):
+            return _fit_apart(y, A, nodes, apart)
+        q = (_vecdot(a, y[..., :n]) / aa)[..., None]
+        return q, *_split(y - A[..., 0] * q, n), {}
+    B = A[..., :n, :]
+    tol = _EPS * max(n, k) * np.sqrt(np.add.reduce(B * B, axis=-2)).max(axis=-1)
+    # A NaN in one block would make the stacked SVD fail for all of them.
+    apart = ~np.isfinite(tol)
+    if _any(apart):
+        return _fit_apart(y, A, nodes, apart)
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    # Singular values come in descending order, so the last one decides.
+    deficient = s[..., -1] <= tol
+    if _any(deficient):
+        return _fit_apart(y, A, nodes, deficient)
+    c = _vecdot(np.swapaxes(U, -1, -2), y[..., None, :n]) / s
+    q = _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :])
+    return q, *_split(y - (A @ q[..., None])[..., 0], n), {}
+
+
+def _split(resid, n):
+    """(parent-adjusted means, residual sum of squares) of an (n+2)-row residual.
+
+    Residuals are formed explicitly, so a group-constant column gives an
+    exact r̂ = 0 and an exact fit the floating-point floor.
+    """
+    r = resid[..., :n]
+    return resid[..., n:], _vecdot(r, r)
+
+
+def _fit_apart(y, A, nodes, apart):
+    """``_fit_columns`` with the fits flagged in ``apart`` taken one at a time
+    through ``_svd_coefficients``, which raises for them or solves them; the
+    other fits stay one stack."""
+    n2, k = A.shape[-2:]
+    shape = apart.shape
+    y, A = y.reshape(-1, n2), A.reshape(-1, n2, k)
+    nodes, apart = np.reshape(nodes, -1), apart.reshape(-1)
+    m = apart.size
+    q = np.full((m, k), np.nan)
+    adjusted = np.full((m, 2), np.nan)
+    rss = np.full(m, np.nan)
+    failures = {}
+    for i in np.flatnonzero(apart):
+        try:
+            q[i] = _svd_coefficients(A[i, :-2], y[i, :-2], nodes[i])
+        except (RankDeficientDesign, np.linalg.LinAlgError) as exc:
+            failures[i] = exc
+            continue
+        adjusted[i], rss[i] = _split(y[i] - A[i] @ q[i], n2 - 2)
+    rest = np.flatnonzero(~apart)
+    if rest.size:
+        q[rest], adjusted[rest], rss[rest], failed = _fit_columns(
+            y[rest], A[rest], nodes[rest]
+        )
+        failures.update((int(rest[i]), exc) for i, exc in failed.items())
+    return (
+        q.reshape(shape + (k,)),
+        adjusted.reshape(shape + (2,)),
+        rss.reshape(shape),
+        failures,
+    )
+
+
+def _too_few_samples(n: int, k: int, j) -> InsufficientSamples:
+    return InsufficientSamples(
+        f"need n1+n2 >= |S_j|+5 for node {j}: n={n}, |S_j|={k}"
+    )
+
+
 def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     """OLS fit of column j on its parent columns under the two-group design.
 
     The coefficient solve uses the group-centered columns (equivalent to
-    projecting out W = [1, g]). A single nonzero parent is a simple
-    regression; any other parent block goes through a singular value
-    decomposition, which detects rank deficiency with threshold
-    eps · max(n, |S_j|) · (largest parent column norm). Residuals are always
-    formed explicitly, and θ̂ comes from the cached group means:
-    θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
+    projecting out W = [1, g]). This is the one-node call of the kernel that
+    ``fit_sem`` runs on whole parent-count groups, with the same routes: a
+    single parent column is a simple regression unless a·a is zero,
+    subnormal or not finite; that column, and any block of two or more
+    parents, goes through a singular value decomposition, which detects rank
+    deficiency with threshold eps · max(n, |S_j|) · (largest parent column
+    norm). Residuals are always formed explicitly, and θ̂ comes from the
+    cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
     Args:
         sample: the grouped expression matrix (columns in any fixed order).
@@ -220,39 +359,20 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     k = len(parents)
     dof = n - k - 4
     if dof < 1:
-        raise InsufficientSamples(
-            f"need n1+n2 >= |S_j|+5 for node {j}: n={n}, |S_j|={k}"
-        )
-    Xc, means = sample.centered, sample.means
-    y_c = Xc[:, j]
-    m1, m2 = means[:, j].tolist()
-    if k == 0:
-        q_hat = np.zeros(0)
-        resid = y_c
-    elif k == 1:
-        s = parents[0]
-        a = Xc[:, s]
-        aa = float(a.dot(a))
-        # The SVD rule grants rank 1 to every nonzero column (eps·n < 1), so
-        # only a zero or non-finite column needs it.
-        if _TINY < aa < math.inf:
-            q = float(a.dot(y_c)) / aa
-        else:
-            q = float(_svd_coefficients(Xc[:, [s]], y_c, j)[0])
-        q_hat = np.array([q])
-        resid = y_c - q * a
-        s1, s2 = means[:, s].tolist()
-        m1 -= s1 * q
-        m2 -= s2 * q
+        raise _too_few_samples(n, k, j)
+    rows = sample._fit_rows
+    if k <= 1:
+        # A basic slice is a view, where a list index would copy.
+        cols = slice(parents[0], parents[0] + 1) if k else slice(0)
     else:
-        A = Xc[:, list(parents)]
-        q_hat = _svd_coefficients(A, y_c, j)
-        resid = y_c - A @ q_hat
-        s1, s2 = means.take(parents, axis=1) @ q_hat
-        m1 -= float(s1)
-        m2 -= float(s2)
-    r_hat = float(resid.dot(resid)) / dof
-    return NodeFit(j=j, q_hat=q_hat, theta_hat=(m2, m1 - m2), r_hat=r_hat, dof=dof)
+        cols = list(parents)
+    q, adjusted, rss, failures = _fit_columns(rows[:, j], rows[:, cols], j)
+    if failures:
+        raise failures[0]
+    m1, m2 = adjusted.tolist()
+    return NodeFit(
+        j=j, q_hat=q, theta_hat=(m2, m1 - m2), r_hat=float(rss) / dof, dof=dof
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,13 +381,16 @@ class SemEstimate:
 
     ``Q_hat`` and ``R_hat`` live in topological coordinates: entry
     ``Q_hat[i, k]`` is the coefficient of the node in position i on its child
-    in position k, nonzero only where the dag has an edge.
+    in position k, nonzero only where the dag has an edge. ``theta_hat``
+    (p × 2, rows (θ̂₁, θ̂₂)) and ``dof`` (length p) hold the rest of each node's
+    fit when the estimate comes from ``fit_sem``, and are None otherwise.
     """
 
     Q_hat: np.ndarray
     R_hat: np.ndarray
     dag: PathwayDag
-    node_fits: tuple[NodeFit, ...] = ()
+    theta_hat: np.ndarray | None = None
+    dof: np.ndarray | None = None
 
     def __post_init__(self):
         Q = np.asarray(self.Q_hat, dtype=float)
@@ -277,21 +400,56 @@ class SemEstimate:
         p = self.dag.p
         if Q.shape != (p, p) or R.shape != (p,):
             raise ValueError("Q_hat must be p×p and R_hat length p")
-        if np.any(np.tril(Q) != 0.0):
-            raise ValueError("Q_hat must be strictly upper triangular")
+        if (self.theta_hat is None) != (self.dof is None):
+            raise ValueError("theta_hat and dof are given together or not at all")
+        if self.dof is not None:
+            theta = np.asarray(self.theta_hat, dtype=float)
+            dof = np.asarray(self.dof, dtype=int)
+            object.__setattr__(self, "theta_hat", theta)
+            object.__setattr__(self, "dof", dof)
+            if theta.shape != (p, 2) or dof.shape != (p,):
+                raise ValueError("theta_hat must be p×2 and dof length p")
         parent_sets = self.dag.parent_sets
-        allowed = np.zeros((p, p), dtype=bool)
-        allowed[
-            [i for parents in parent_sets for i in parents],
-            [k for k, parents in enumerate(parent_sets) for _ in parents],
-        ] = True
-        if np.any(Q[~allowed] != 0.0):
+        sizes = np.fromiter(map(len, parent_sets), np.intp, p)
+        inside = Q[
+            np.fromiter(chain.from_iterable(parent_sets), np.intp, sizes.sum()),
+            np.repeat(np.arange(p), sizes),
+        ]
+        # Nonzero (NaN included) entries off the parent sets; the lower
+        # triangle lies entirely off them.
+        if np.count_nonzero(Q != 0.0) != np.count_nonzero(inside != 0.0):
+            if np.any(np.tril(Q) != 0.0):
+                raise ValueError("Q_hat must be strictly upper triangular")
             raise ValueError("Q_hat has support outside the dag's parent sets")
         if np.any(R <= 0.0):
             bad = int(np.argmin(R))
             raise ZeroResidualVariance(
                 f"residual variance at topological position {bad} is not positive"
             )
+
+    @cached_property
+    def node_fits(self) -> tuple[NodeFit, ...]:
+        """One NodeFit per topological position, built on first access from
+        the arrays; empty when the estimate holds no per-node fits."""
+        if self.dof is None:
+            return ()
+        return tuple(
+            NodeFit(
+                j=pos,
+                q_hat=self.Q_hat[list(parents), pos],
+                theta_hat=(t1, t2),
+                r_hat=r_hat,
+                dof=dof,
+            )
+            for pos, (parents, (t1, t2), r_hat, dof) in enumerate(
+                zip(
+                    self.dag.parent_sets,
+                    self.theta_hat.tolist(),
+                    self.R_hat.tolist(),
+                    self.dof.tolist(),
+                )
+            )
+        )
 
     def to_dict(self) -> dict:
         triples = [
@@ -303,16 +461,19 @@ class SemEstimate:
             "topo_order": list(self.dag.topo_order),
             "Q_triples": triples,
             "R_hat": self.R_hat.tolist(),
-            "dof": [nf.dof for nf in self.node_fits] or None,
+            "dof": None if self.dof is None else self.dof.tolist() or None,
         }
 
 
 def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     """Fit every node of the dag and assemble the SEM estimate.
 
-    Columns of ``sample.X`` are in original order; they are reordered to the
-    dag's topological order internally. Node-level failures are re-raised with
-    the offending node's label attached.
+    Columns of ``sample.X`` are in original order; they are taken in the
+    dag's topological order internally. The nodes are fit by parent count,
+    one kernel call per count, yet a failure is reported as a node-by-node
+    sweep in topological order would meet it first: the offending node's
+    label is attached, and nodes after a node with too few samples are not
+    fit at all.
 
     Raises:
         RankDeficientDesign, InsufficientSamples: from individual node fits.
@@ -321,26 +482,50 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     """
     if sample.p != dag.p:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
-    topo_sample = sample.reorder_columns(dag.topo_order)
-    p = dag.p
+    p, n = dag.p, sample.n
+    order = list(dag.topo_order)
+    # Row i holds the fit column of the node in position i.
+    rows = sample._fit_rows.T[order]
+    parent_sets = dag.parent_sets
+    sizes = [len(parents) for parents in parent_sets]
+    limit = next((pos for pos, k in enumerate(sizes) if n - k - 4 < 1), p)
+    groups: dict[int, list[int]] = {}
+    for pos in range(limit):
+        groups.setdefault(sizes[pos], []).append(pos)
     Q = np.zeros((p, p))
     R = np.zeros(p)
-    fits: list[NodeFit] = []
-    for pos in range(p):
-        label = dag.label_of(dag.topo_order[pos])
-        try:
-            nf = fit_node(topo_sample, pos, dag.parent_sets[pos])
-        except (RankDeficientDesign, InsufficientSamples) as exc:
-            raise type(exc)(f"node {label}: {exc}") from exc
-        if nf.r_hat == 0.0:
+    adjusted = np.zeros((p, 2))
+    dof = np.array([n - k - 4 for k in sizes])
+    failures: dict[int, Exception] = {}
+    for k, nodes in groups.items():
+        nodes = np.array(nodes)
+        P = np.array([parent_sets[pos] for pos in nodes], dtype=np.intp)
+        P = P.reshape(len(nodes), k)
+        q, adjusted[nodes], rss, failed = _fit_columns(
+            rows[nodes], rows[P].transpose(0, 2, 1), nodes
+        )
+        Q[P, nodes[:, None]] = q
+        R[nodes] = rss / (n - k - 4)
+        failures.update((int(nodes[i]), exc) for i, exc in failed.items())
+    # A node-by-node sweep would stop at the first failure; failed fits hold
+    # NaN, so they are not exact fits.
+    exact = np.flatnonzero(R[:limit] == 0.0)[:1].tolist()
+    first = min([*failures, *exact, limit])
+    if first < p:
+        label = dag.label_of(dag.topo_order[first])
+        if first in failures:
+            exc = failures[first]
+        elif first < limit:
             raise ZeroResidualVariance(
                 f"node {label}: exact fit, residual variance estimate is 0"
             )
-        fits.append(nf)
-        if nf.q_hat.size:
-            Q[list(dag.parent_sets[pos]), pos] = nf.q_hat
-        R[pos] = nf.r_hat
-    return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, node_fits=tuple(fits))
+        else:
+            exc = _too_few_samples(n, sizes[first], first)
+        if isinstance(exc, (RankDeficientDesign, InsufficientSamples)):
+            raise type(exc)(f"node {label}: {exc}") from exc
+        raise exc
+    theta = np.column_stack((adjusted[:, 1], adjusted[:, 0] - adjusted[:, 1]))
+    return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, theta_hat=theta, dof=dof)
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,12 @@ def test_bonferroni_all_ones_never_rejects():
     assert not any(out.decisions)
 
 
+def test_bonferroni_missing_p_value_counts_toward_h():
+    out = bonferroni_adjust([0.001, None, 0.02], alpha0=0.05)
+    assert out.threshold == 0.05 / 3
+    assert out.decisions == (True, False, False)
+
+
 def test_bonferroni_validation():
     with pytest.raises(EmptyList):
         bonferroni_adjust([], alpha0=0.05)

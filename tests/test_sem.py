@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
 from dagtest.errors import (
@@ -270,6 +270,156 @@ def test_fit_sem_consistency_large_sample():
     assert np.max(np.abs(theta2 - expected)) < 0.05
 
 
+def _oracle_estimate(sample, dag):
+    """Q̂, R̂, θ̂ and dof of every node from the pinv full-design oracle.
+
+    The oracle runs on columns scaled to a largest entry of 1, so that its
+    cutoff does not drop a column of tiny values, and maps back (OLS is
+    equivariant under column scaling).
+    """
+    p = dag.p
+    scale = np.abs(sample.X).max(axis=0)
+    unit = GroupedSample(X=sample.X / scale, g=sample.g, n1=sample.n1, n2=sample.n2)
+    Q, R = np.zeros((p, p)), np.zeros(p)
+    theta, dof = np.zeros((p, 2)), np.zeros(p, dtype=int)
+    for pos, parents in enumerate(dag.parent_sets):
+        j = dag.topo_order[pos]
+        cols = [dag.topo_order[i] for i in parents]
+        t1, t2, q, r = pinv_oracle(unit, j, cols)
+        Q[list(parents), pos] = q * scale[j] / scale[cols]
+        R[pos] = r * scale[j] ** 2
+        theta[pos] = (t1 * scale[j], t2 * scale[j])
+        dof[pos] = sample.n - len(parents) - 4
+    return Q, R, theta, dof
+
+
+def _mixed_dag(rng, p):
+    """A random dag on p nodes, in shuffled order, whose parent counts mix
+    0, 1, 2 and 3 or more."""
+    order = rng.permutation(p)
+    edges = []
+    for pos in range(1, p):
+        k = min(pos, int(rng.choice([0, 1, 1, 2, 2, 3, 4])))
+        for i in rng.choice(pos, k, replace=False):
+            edges.append((int(order[i]), int(order[pos])))
+    return PathwayDag.from_edges(edges, p=p)
+
+
+def test_fit_sem_matches_pinv_oracle_on_mixed_parent_counts():
+    # Besides random blocks: a parent column so small that a·a falls below
+    # the smallest normal number (its children take the per-matrix SVD rule
+    # inside the one-parent group) and a nearly collinear pair of parents.
+    rng = np.random.default_rng(24)
+    for trial in range(30):
+        p = int(rng.integers(8, 30))
+        n1, n2 = int(rng.integers(8, 20)), int(rng.integers(8, 20))
+        dag = _mixed_dag(rng, p)
+        X = rng.normal(size=(n1 + n2, p))
+        if trial % 3 == 0:
+            # A parentless node with tiny values, parent of one node only.
+            tiny, child = int(dag.topo_order[0]), int(dag.topo_order[-1])
+            edges = {e for e in dag.edges if e[0] != tiny and e[1] != child}
+            dag = PathwayDag.from_edges(edges | {(tiny, child)}, p=p)
+            X[:, tiny] *= 1e-155
+            assert float(X[:, tiny] @ X[:, tiny]) < np.finfo(float).tiny
+        if trial % 3 == 1:
+            # Two nearly collinear parents of the last node in the order.
+            a, b, child = (int(dag.topo_order[i]) for i in (0, 1, -1))
+            X[:, b] = X[:, a] + 1e-4 * rng.normal(size=n1 + n2)
+            dag = PathwayDag.from_edges(dag.edges | {(a, child), (b, child)}, p=p)
+        sample = GroupedSample.from_groups(X[:n1], X[n1:])
+        est = fit_sem(sample, dag)
+        Q, R, theta, dof = _oracle_estimate(sample, dag)
+        assert_allclose(est.Q_hat, Q, rtol=1e-10, atol=1e-10, err_msg=str(trial))
+        assert_allclose(est.R_hat, R, rtol=1e-10, err_msg=str(trial))
+        fits = est.node_fits
+        assert [nf.j for nf in fits] == list(range(p))
+        assert_allclose([nf.theta_hat for nf in fits], theta, rtol=1e-10, atol=1e-10)
+        assert [nf.dof for nf in fits] == dof.tolist()
+        for nf, parents in zip(fits, dag.parent_sets):
+            assert_array_equal(nf.q_hat, est.Q_hat[list(parents), nf.j])
+
+
+def _sequential_failure(sample, dag):
+    """(exception type, message) of the first failure of a node-by-node
+    sweep in topological order, or None."""
+    topo = sample.reorder_columns(dag.topo_order)
+    for pos, parents in enumerate(dag.parent_sets):
+        label = dag.label_of(dag.topo_order[pos])
+        try:
+            nf = fit_node(topo, pos, parents)
+        except (RankDeficientDesign, InsufficientSamples) as exc:
+            return type(exc), f"node {label}: {exc}"
+        except np.linalg.LinAlgError as exc:
+            return type(exc), str(exc)
+        if nf.r_hat == 0.0:
+            return (
+                ZeroResidualVariance,
+                f"node {label}: exact fit, residual variance estimate is 0",
+            )
+    return None
+
+
+def _failing_case(rng, kinds):
+    """A chain of clean nodes with failing nodes appended in ``kinds`` order.
+
+    n1 = n2 = 5, so six parents leave no degrees of freedom. Kinds:
+    "rank" (two identical parents), "samples" (six parents), "exact" (a
+    group-constant leaf), "nan" (a NaN column under two parents, so the
+    NaN sits in a block of the group of nodes with three parents).
+    """
+    n1 = n2 = 5
+    base = 7
+    columns = [rng.normal(size=n1 + n2) for _ in range(base)]
+    edges = [(i, i + 1) for i in range(base - 1)] + [(0, 2), (1, 3), (0, 3)]
+    for kind in kinds:
+        node = len(columns)
+        if kind == "rank":
+            columns.append(columns[4].copy())
+            edges += [(0, node)]
+            columns.append(rng.normal(size=n1 + n2))
+            edges += [(4, node + 1), (node, node + 1)]
+        elif kind == "samples":
+            columns.append(rng.normal(size=n1 + n2))
+            edges += [(i, node) for i in range(6)]
+        elif kind == "exact":
+            columns.append(np.r_[np.full(n1, 1.5), np.full(n2, -2.0)])
+            edges += [(0, node)]
+        elif kind == "nan":
+            bad = rng.normal(size=n1 + n2)
+            bad[3] = np.nan
+            columns += [bad, rng.normal(size=n1 + n2)]
+            edges += [(0, node + 1), (1, node + 1), (node, node + 1)]
+    X = np.column_stack(columns)
+    labels = [f"G{i}" for i in range(X.shape[1])]
+    dag = PathwayDag.from_edges(edges, p=X.shape[1], labels=labels)
+    return GroupedSample.from_groups(X[:n1], X[n1:]), dag
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("rank", "samples", "exact", "nan"),
+        ("rank", "nan", "exact", "samples"),
+        ("exact", "rank", "nan"),
+        ("nan", "rank", "samples"),
+        ("samples", "nan", "rank"),
+        ("rank",),
+        ("nan",),
+    ],
+)
+def test_fit_sem_raises_the_first_failure_in_topological_order(kinds):
+    sample, dag = _failing_case(np.random.default_rng(25), kinds)
+    if "nan" in kinds:
+        # The NaN block is stacked with node 3's clean three-parent block.
+        assert sum(len(s) == 3 for s in dag.parent_sets) > 1
+    expected = _sequential_failure(sample, dag)
+    assert expected is not None
+    with pytest.raises(expected[0]) as err:
+        fit_sem(sample, dag)
+    assert str(err.value) == expected[1]
+
+
 def test_sem_estimate_validation():
     dag = PathwayDag.from_edges([(0, 1)], p=2)
     with pytest.raises(ValueError, match="triangular"):
@@ -288,6 +438,16 @@ def test_sem_estimate_validation():
             Q_hat=np.array([[0.0, 0.5], [0.0, 0.0]]),
             R_hat=np.array([1.0, 0.0]),
             dag=dag,
+        )
+    with pytest.raises(ValueError, match="together"):
+        SemEstimate(Q_hat=np.zeros((2, 2)), R_hat=np.ones(2), dag=dag, dof=[5, 4])
+    with pytest.raises(ValueError, match="p×2"):
+        SemEstimate(
+            Q_hat=np.zeros((2, 2)),
+            R_hat=np.ones(2),
+            dag=dag,
+            theta_hat=np.zeros((2, 3)),
+            dof=[5, 4],
         )
 
 
@@ -339,6 +499,9 @@ def test_sem_estimate_to_dict_layout():
     assert doc["Q_triples"] == [[0, 2, 0.5], [1, 2, -0.25]]
     assert doc["R_hat"] == [1.0, 2.0, 0.5]
     assert doc["dof"] is None
+    rng = np.random.default_rng(27)
+    fitted = fit_sem(random_sample(rng, 6, 6, 3), dag)
+    assert fitted.to_dict()["dof"] == [8, 8, 6]
 
 
 # ---------------------------------------------------------------------------
