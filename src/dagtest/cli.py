@@ -9,6 +9,13 @@ synthetic experiments from a JSON config, writing CSV and JSON tables.
 
 Exit status: 0 when at least one result was produced, 1 when none were,
 2 for usage/config/input errors.
+
+BLAS threads: a process that imports this module before numpy runs with one
+BLAS thread, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set in
+its environment, in which case both are left as the user set them. Extra BLAS
+threads shorten no analysis at pathway sizes, cost CPU, oversubscribe the
+cores under ``--threads N`` and change the last bits of reduction-heavy
+statistics, so reports would depend on the core count.
 """
 
 from __future__ import annotations
@@ -16,24 +23,33 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .data_io import (
+# BLAS reads these once, when numpy (or scipy) loads its OpenBLAS, which is
+# the only point at which both bundled copies can be reached.
+if "numpy" not in sys.modules and not (
+    {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+from .data_io import (  # noqa: E402
     align_pathway,
     csv_text,
     dump_json,
     load_expression,
     log2_shift_transform,
 )
-from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, bonferroni_adjust, map_in_order, run_methods
-from .pathway import acyclic_reduction, parse_edge_document
-from .sem import GroupedSample
-from .simulate import MethodSummary, SimConfig, run_experiment
+from .errors import ConfigError, DagTestError  # noqa: E402
+from .mean_tests import METHODS, bonferroni_adjust, map_in_order, run_methods  # noqa: E402
+from .pathway import acyclic_reduction, parse_edge_document  # noqa: E402
+from .sem import GroupedSample  # noqa: E402
+from .simulate import MethodSummary, SimConfig, run_experiment  # noqa: E402
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:

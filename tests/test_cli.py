@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -512,3 +513,108 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "batch" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**blas) -> dict:
+    """This process's environment without the BLAS variables, plus `blas`.
+
+    Built explicitly: the pytest process may carry a BLAS setting of its own,
+    from the caller or from an import of dagtest.cli before numpy.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    env.update(blas)
+    return env
+
+
+def run_python(code: str, env: dict) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+SHOW_BLAS_ENV = f"import os; print(*(os.environ.get(v) for v in {BLAS_VARS!r}))"
+
+
+@pytest.mark.parametrize(
+    "imports, blas, expected",
+    [
+        ("import dagtest.cli", {}, "1 1"),
+        ("import dagtest.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2 None"),
+        ("import dagtest.cli", {"OMP_NUM_THREADS": "3"}, "None 3"),
+        # Library use: numpy has already read its thread count.
+        ("import numpy, dagtest.cli", {}, "None None"),
+    ],
+)
+def test_cli_blas_thread_policy(imports, blas, expected):
+    assert run_python(f"{imports}; {SHOW_BLAS_ENV}", child_env(**blas)) == expected
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="needs Linux /proc/self/task"
+)
+def test_cli_process_starts_no_blas_threads():
+    # numpy's and scipy's OpenBLAS each start their worker threads at load.
+    code = "import os, dagtest.cli; print(len(os.listdir('/proc/self/task')))"
+    assert run_python(code, child_env()) == "1"
+
+
+def write_wide_batch(root: Path) -> tuple[Path, Path]:
+    """200 samples x 300 genes and 5 pathways of 60 genes: big enough that
+    OpenBLAS with more than one thread splits the Chen–Qin row Gram products,
+    which moves the statistic's last bits."""
+    rng = np.random.default_rng(11)
+    n, genes, pathways, size = 200, 300, 5, 60
+    X = 8.0 + rng.normal(size=(n, genes))
+    X[n // 2 :, :20] += 0.3
+    names = [f"G{j:03d}" for j in range(genes)]
+    lines = [",".join(["sample", *names, "group"])]
+    for i in range(n):
+        cells = ",".join(repr(v) for v in X[i].round(6).tolist())
+        lines.append(f"s{i},{cells},{1 if i < n // 2 else 2}")
+    expression = root / "expr.csv"
+    expression.write_text("\n".join(lines) + "\n")
+    pw_dir = root / "pathways"
+    pw_dir.mkdir()
+    for k in range(pathways):
+        genes_k = rng.choice(genes, size=size, replace=False)
+        edges = [
+            f"{names[genes_k[i]]}\t{names[genes_k[j]]}"
+            for j in range(1, size)
+            for i in rng.choice(j, size=min(j, 2), replace=False)
+        ]
+        (pw_dir / f"pw{k}.tsv").write_text("\n".join(edges) + "\n")
+    return expression, pw_dir
+
+
+def test_batch_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    expression, pw_dir = write_wide_batch(tmp_path)
+    reports = []
+    for name, blas in [("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        out = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "dagtest.cli", "batch",
+                "--expression", str(expression), "--pathway-dir", str(pw_dir),
+                "--methods", "all", "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(**blas),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        reports.append([line for line in lines if '"wall_clock_s"' not in line])
+    assert reports[0] == reports[1]

@@ -131,3 +131,29 @@ def test_parse_edge_document_round_trips(document):
     assert parsed_labels == names
     assert edges == list(annotated)
     assert parsed_signs == {e: s for e, s in annotated.items() if s is not None}
+
+
+@PROPERTY
+@given(designs, st.floats(-3.0, 3.0))
+def test_scaling_both_groups_keeps_statistics(design, log10_c):
+    rng = np.random.default_rng(design["seed"])
+    p = design["p"]
+    dag = random_dag(rng, p, design["density"])
+    X1 = rng.normal(size=(design["n1"], p))
+    X2 = rng.normal(size=(design["n2"], p)) + 0.3
+    c = 10.0**log10_c
+    results, errors = run_methods(GroupedSample.from_groups(X1, X2), dag, METHODS)
+    scaled, scaled_errors = run_methods(
+        GroupedSample.from_groups(c * X1, c * X2), dag, METHODS
+    )
+    assert [r.method for r in scaled] == [r.method for r in results]
+    assert scaled_errors == errors
+    # Sums round differently at another scale: relative changes reached
+    # 2e-12, on statistics below 1e-3. The z-type statistics can sit at
+    # zero, where only an absolute floor is meaningful.
+    assert_allclose(
+        [r.statistic for r in scaled],
+        [r.statistic for r in results],
+        rtol=1e-9,
+        atol=1e-9,
+    )
