@@ -188,7 +188,8 @@ def cmd_batch(args) -> int:
             outcome["n2"] = sub.n2
             outcome["results"] = [r.to_dict() for r in results]
             outcome["errors"] = errors
-        except DagTestError as exc:
+        # A file that cannot be read or decoded fails its own pathway.
+        except (DagTestError, OSError, UnicodeDecodeError) as exc:
             outcome["file"] = str(path)
             outcome["results"] = []
             outcome["errors"] = [str(exc)]

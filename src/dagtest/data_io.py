@@ -16,8 +16,9 @@ that round-trips to the identical double, so written reports are bit-stable.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,23 +32,45 @@ from .pathway import PathwayDag
 from .sem import GroupedSample
 
 
+def _csv_rows(path: str, handle) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(file line where the row starts, row)`` for each CSV row that
+    holds a non-blank field.
+
+    A quoted field may span lines, so a row is numbered by its first line;
+    blank lines are skipped but still counted.
+
+    Raises:
+        ParseError: the CSV reader's own error (say, a field over its size
+            limit), with the line where the row starts.
+    """
+    reader = csv.reader(handle)
+    start = 1
+    try:
+        for row in reader:
+            if any(field.strip() for field in row):
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {start}: {exc}") from exc
+
+
 def load_labels(path: str) -> dict[str, int]:
-    """Read a ``sample,group`` CSV into a mapping; tolerates one header row.
+    """Read a ``sample,group`` CSV into a mapping.
+
+    The first non-blank row is a header when its group field is not 1 or 2.
 
     Raises:
         ParseError: wrong field count or a group value outside {1, 2}.
     """
     labels: dict[str, int] = {}
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        for index, (lineno, row) in enumerate(_csv_rows(path, handle)):
             if len(row) != 2:
                 raise ParseError(
                     f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
                 )
             sample, group = row[0].strip(), row[1].strip()
-            if lineno == 1 and group not in ("1", "2"):
+            if index == 0 and group not in ("1", "2"):
                 continue  # header row
             if group not in ("1", "2"):
                 raise ParseError(
@@ -66,116 +89,141 @@ def load_expression(
 ) -> tuple[GroupedSample, dict[str, int]]:
     """Read an expression CSV into a group-1-first sample plus a gene index.
 
+    The file is read in one pass, one row at a time: each row's cells become
+    a float array and the row's strings are dropped, so peak memory is a
+    small multiple of the matrix itself. A cell is a number when
+    ``float(cell.strip())`` accepts it.
+
     Returns:
         (sample, gene_index) where gene_index maps gene identifier to the
         column of ``sample.X`` holding it.
 
     Raises:
         ParseError: structural problems or a non-finite value, with
-            file/line/column locations.
+            file/line/column locations. Structural and number errors are
+            raised at the first row that has one; a non-finite value is
+            raised, at its first cell in file order, only after every row
+            has passed those checks.
         UnlabeledSample: a sample with no group assignment, named.
         GroupTooSmall: fewer than 2 samples in either group.
     """
-    rows: list[list[str]] = []
-    line_nums: list[int] = []
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        # A quoted field may span lines: number each row by its first line.
-        start = 1
-        for row in reader:
-            if any(f.strip() for f in row):
-                rows.append(row)
-                line_nums.append(start)
-            start = reader.line_num + 1
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one sample row")
-    header = [field.strip() for field in rows[0]]
-    if len(header) < 2:
-        raise ParseError(f"{path}: header must name at least one gene")
-    group_col = None
-    for idx, name in enumerate(header[1:], start=1):
-        if name.lower() == "group":
-            group_col = idx
-            break
-    gene_cols = [
-        idx for idx in range(1, len(header)) if idx != group_col
-    ]
-    genes = [header[idx] for idx in gene_cols]
-    seen: set[str] = set()
-    for offset, gene in enumerate(genes):
-        if not gene:
-            raise ParseError(f"{path}: empty gene identifier in header")
-        if gene in seen:
-            raise ParseError(f"{path}: duplicate gene identifier {gene!r} in header")
-        seen.add(gene)
+        rows = _csv_rows(path, handle)
+        header_row = next(rows, None)
+        first_row = next(rows, None)
+        if first_row is None:
+            raise ParseError(
+                f"{path}: need a header row and at least one sample row"
+            )
+        header = [field.strip() for field in header_row[1]]
+        if len(header) < 2:
+            raise ParseError(f"{path}: header must name at least one gene")
+        group_col = None
+        for idx, name in enumerate(header[1:], start=1):
+            if name.lower() == "group":
+                group_col = idx
+                break
+        gene_cols = [
+            idx for idx in range(1, len(header)) if idx != group_col
+        ]
+        genes = [header[idx] for idx in gene_cols]
+        seen: set[str] = set()
+        for gene in genes:
+            if not gene:
+                raise ParseError(f"{path}: empty gene identifier in header")
+            if gene in seen:
+                raise ParseError(
+                    f"{path}: duplicate gene identifier {gene!r} in header"
+                )
+            seen.add(gene)
 
-    sidecar = load_labels(labels_path) if labels_path is not None else None
-    sample_ids: set[str] = set()
-    groups: list[int] = []
-    values: list[list[float]] = []
-    for lineno, row in zip(line_nums[1:], rows[1:]):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}"
-            )
-        sample_id = row[0].strip()
-        if not sample_id:
-            raise ParseError(f"{path}: line {lineno}: empty sample id")
-        if sample_id in sample_ids:
-            raise ParseError(
-                f"{path}: line {lineno}: duplicate sample id {sample_id!r}"
-            )
-        if sidecar is not None:
-            if sample_id not in sidecar:
+        sidecar = load_labels(labels_path) if labels_path is not None else None
+        sample_ids: set[str] = set()
+        by_group: dict[int, list[np.ndarray]] = {1: [], 2: []}
+        non_finite = None
+        for lineno, row in itertools.chain((first_row,), rows):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            sample_id = row[0].strip()
+            if not sample_id:
+                raise ParseError(f"{path}: line {lineno}: empty sample id")
+            if sample_id in sample_ids:
+                raise ParseError(
+                    f"{path}: line {lineno}: duplicate sample id {sample_id!r}"
+                )
+            if sidecar is not None:
+                if sample_id not in sidecar:
+                    raise UnlabeledSample(
+                        f"sample {sample_id!r} has no entry in the labels file"
+                    )
+                group = sidecar[sample_id]
+            elif group_col is not None:
+                raw = row[group_col].strip()
+                if raw not in ("1", "2"):
+                    raise ParseError(
+                        f"{path}: line {lineno}: group must be 1 or 2, "
+                        f"got {raw!r}"
+                    )
+                group = int(raw)
+            else:
                 raise UnlabeledSample(
-                    f"sample {sample_id!r} has no entry in the labels file"
+                    f"sample {sample_id!r} is unlabeled: the file has no group "
+                    "column and no labels file was given"
                 )
-            group = sidecar[sample_id]
-        elif group_col is not None:
-            raw = row[group_col].strip()
-            if raw not in ("1", "2"):
-                raise ParseError(
-                    f"{path}: line {lineno}: group must be 1 or 2, got {raw!r}"
-                )
-            group = int(raw)
-        else:
-            raise UnlabeledSample(
-                f"sample {sample_id!r} is unlabeled: the file has no group "
-                "column and no labels file was given"
+            cells = (
+                row[1:]
+                if group_col is None
+                else row[1:group_col] + row[group_col + 1 :]
             )
-        row_values = []
-        for idx in gene_cols:
-            field = row[idx].strip()
             try:
-                row_values.append(float(field))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {header[idx]!r}: "
-                    f"not a number: {field!r}"
-                ) from exc
-        sample_ids.add(sample_id)
-        groups.append(group)
-        values.append(row_values)
+                # numpy converts each string with float().
+                values = np.array(cells, dtype=float)
+            except ValueError:
+                # Either a cell is not a number, and _number names the first
+                # one, or a cell is padded with one of the separators
+                # \x1c-\x1f, which str.strip() removes and float() does not.
+                values = np.array(
+                    [_number(path, lineno, header[idx], row[idx]) for idx in gene_cols]
+                )
+            if non_finite is None and not np.isfinite(values).all():
+                j = int(np.argmin(np.isfinite(values)))
+                non_finite = (
+                    f"{path}: line {lineno}, column {genes[j]!r}: "
+                    f"not a finite number: {cells[j].strip()!r}"
+                )
+            sample_ids.add(sample_id)
+            by_group[group].append(values)
 
-    matrix = np.asarray(values, dtype=float)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ParseError(
-            f"{path}: line {line_nums[i + 1]}, column {genes[j]!r}: "
-            f"not a finite number: {rows[i + 1][gene_cols[j]].strip()!r}"
-        )
-    order1 = [i for i, g in enumerate(groups) if g == 1]
-    order2 = [i for i, g in enumerate(groups) if g == 2]
-    for label, members in (("1", order1), ("2", order2)):
+    if non_finite is not None:
+        raise ParseError(non_finite)
+    for label, members in by_group.items():
         if len(members) < 2:
             raise GroupTooSmall(
                 f"group {label} has {len(members)} samples; need at least 2"
             )
-    sample = GroupedSample.from_groups(matrix[order1], matrix[order2])
+    n1, n2 = len(by_group[1]), len(by_group[2])
+    sample = GroupedSample(
+        X=np.vstack(by_group[1] + by_group[2]),
+        g=np.repeat(np.array([1, 0], np.int8), (n1, n2)),
+        n1=n1,
+        n2=n2,
+    )
     gene_index = {gene: col for col, gene in enumerate(genes)}
     return sample, gene_index
+
+
+def _number(path: str, lineno: int, column: str, field: str) -> float:
+    """``float(field.strip())``, or a ParseError naming the cell."""
+    field = field.strip()
+    try:
+        return float(field)
+    except ValueError as exc:
+        raise ParseError(
+            f"{path}: line {lineno}, column {column!r}: not a number: {field!r}"
+        ) from exc
 
 
 def align_pathway(

@@ -355,6 +355,57 @@ def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
     assert "abc: FAILED" in capsys.readouterr().out
 
 
+def test_cmd_batch_unreadable_pathway_files_fail_alone(workdir, capsys):
+    # A file that is not valid UTF-8 and a directory matching *.tsv each
+    # fail their own pathway, named by file; the other two are analyzed.
+    pw_dir = workdir / "pathways"
+    (pw_dir / "binary.tsv").write_bytes(b"GA\tGB\n\xff\tGC\n")
+    (pw_dir / "folder.tsv").mkdir()
+    out = workdir / "batch.json"
+    code = main(
+        [
+            "batch",
+            "--expression",
+            str(workdir / "expr.csv"),
+            "--pathway-dir",
+            str(pw_dir),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["n_files"] == 4 and report["n_analyzed"] == 2
+    by_name = {o["name"]: o for o in report["pathways"]}
+    for name in ("binary", "folder"):
+        failed = by_name[name]
+        assert failed["file"] == str(pw_dir / f"{name}.tsv")
+        assert failed["results"] == [] and len(failed["errors"]) == 1
+    assert "can't decode byte 0xff" in by_name["binary"]["errors"][0]
+    assert "Is a directory" in by_name["folder"]["errors"][0]
+    assert by_name["chain"]["results"] and by_name["pair"]["results"]
+    printed = capsys.readouterr().out
+    assert "binary: FAILED" in printed and "folder: FAILED" in printed
+
+
+def test_cmd_test_reports_csv_reader_error(workdir, capsys):
+    expr = workdir / "big.csv"
+    expr.write_text(EXPRESSION + "s9," + "1" * 140_000 + "\n")
+    code = main(
+        [
+            "test",
+            "--expression",
+            str(expr),
+            "--pathway",
+            str(workdir / "pathways" / "chain.tsv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {expr}: line 10: field larger than field limit (131072)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------

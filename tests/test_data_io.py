@@ -67,6 +67,46 @@ def test_load_labels_rejects_bad_rows(tmp_path):
         load_labels(write(tmp_path, "c.csv", "s1,1\ns1,2\n"))
 
 
+def test_load_labels_header_is_first_non_blank_row(tmp_path):
+    path = write(tmp_path, "lab.csv", "\n \nsample,group\ns1,1\n\ns2,2\n")
+    assert load_labels(path) == {"s1": 1, "s2": 2}
+    # Only that row may be a header.
+    with pytest.raises(ParseError, match=re.escape("line 3: group must be")):
+        load_labels(write(tmp_path, "b.csv", "\ns1,1\nsample,group\n"))
+
+
+def test_load_labels_names_file_lines(tmp_path):
+    # A quoted sample id spans lines 2-3, so the bad row is on line 4.
+    path = write(tmp_path, "lab.csv", 'sample,group\n"s\n1",1\ns2,3\n')
+    with pytest.raises(
+        ParseError, match=re.escape("line 4: group must be 1 or 2, got '3'")
+    ):
+        load_labels(path)
+
+
+@pytest.mark.parametrize("loader", [load_labels, load_expression])
+def test_csv_reader_errors_are_parse_errors(tmp_path, loader):
+    # The csv module refuses a field over 131072 characters.
+    big = "1" * 140_000
+    text = f"sample,group\ns1,1\n\ns2,{big}\n"
+    path = write(tmp_path, "big.csv", text)
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert str(info.value) == (
+        f"{path}: line 4: field larger than field limit (131072)"
+    )
+
+
+def test_load_expression_row_error_precedes_later_csv_error(tmp_path):
+    # Rows are checked as they are read, so an earlier row's error wins.
+    text = (
+        "sample,G1,group\ns1,abc,1\ns2,1.0,1\n"
+        f"s3,{'1' * 140_000},2\ns4,2.0,2\n"
+    )
+    with pytest.raises(ParseError, match="line 2, column 'G1': not a number"):
+        load_expression(write(tmp_path, "late.csv", text))
+
+
 # ---------------------------------------------------------------------------
 # load_expression
 # ---------------------------------------------------------------------------

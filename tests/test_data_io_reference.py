@@ -1,0 +1,392 @@
+"""The streamed expression loader against the loader it replaced.
+
+``reference_load_labels`` and ``reference_load_expression`` below are the
+earlier loaders, verbatim apart from their names: they read every row's
+strings into memory and convert cell by cell with ``float(field.strip())``.
+On a seeded corpus of valid and broken files the streamed
+``load_expression`` must raise the same exception with the same message, or
+return bit-identical values, group sizes and gene index.
+"""
+
+import csv
+import io
+import random
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dagtest.data_io import load_expression
+from dagtest.errors import (
+    GroupTooSmall,
+    ParseError,
+    UnlabeledSample,
+)
+from dagtest.sem import GroupedSample
+
+
+# ---------------------------------------------------------------------------
+# The reference: the loaders as they were before streaming
+# ---------------------------------------------------------------------------
+
+def reference_load_labels(path: str) -> dict[str, int]:
+    """Read a ``sample,group`` CSV into a mapping; tolerates one header row.
+
+    Raises:
+        ParseError: wrong field count or a group value outside {1, 2}.
+    """
+    labels: dict[str, int] = {}
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(
+                    f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
+                )
+            sample, group = row[0].strip(), row[1].strip()
+            if lineno == 1 and group not in ("1", "2"):
+                continue  # header row
+            if group not in ("1", "2"):
+                raise ParseError(
+                    f"{path}: line {lineno}: group must be 1 or 2, got {group!r}"
+                )
+            if sample in labels:
+                raise ParseError(
+                    f"{path}: line {lineno}: duplicate sample id {sample!r}"
+                )
+            labels[sample] = int(group)
+    return labels
+
+
+def reference_load_expression(
+    path: str, labels_path: str | None = None
+) -> tuple[GroupedSample, dict[str, int]]:
+    """Read an expression CSV into a group-1-first sample plus a gene index.
+
+    Returns:
+        (sample, gene_index) where gene_index maps gene identifier to the
+        column of ``sample.X`` holding it.
+
+    Raises:
+        ParseError: structural problems or a non-finite value, with
+            file/line/column locations.
+        UnlabeledSample: a sample with no group assignment, named.
+        GroupTooSmall: fewer than 2 samples in either group.
+    """
+    rows: list[list[str]] = []
+    line_nums: list[int] = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        # A quoted field may span lines: number each row by its first line.
+        start = 1
+        for row in reader:
+            if any(f.strip() for f in row):
+                rows.append(row)
+                line_nums.append(start)
+            start = reader.line_num + 1
+    if len(rows) < 2:
+        raise ParseError(f"{path}: need a header row and at least one sample row")
+    header = [field.strip() for field in rows[0]]
+    if len(header) < 2:
+        raise ParseError(f"{path}: header must name at least one gene")
+    group_col = None
+    for idx, name in enumerate(header[1:], start=1):
+        if name.lower() == "group":
+            group_col = idx
+            break
+    gene_cols = [
+        idx for idx in range(1, len(header)) if idx != group_col
+    ]
+    genes = [header[idx] for idx in gene_cols]
+    seen: set[str] = set()
+    for offset, gene in enumerate(genes):
+        if not gene:
+            raise ParseError(f"{path}: empty gene identifier in header")
+        if gene in seen:
+            raise ParseError(f"{path}: duplicate gene identifier {gene!r} in header")
+        seen.add(gene)
+
+    sidecar = reference_load_labels(labels_path) if labels_path is not None else None
+    sample_ids: set[str] = set()
+    groups: list[int] = []
+    values: list[list[float]] = []
+    for lineno, row in zip(line_nums[1:], rows[1:]):
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {lineno}: expected {len(header)} fields, "
+                f"got {len(row)}"
+            )
+        sample_id = row[0].strip()
+        if not sample_id:
+            raise ParseError(f"{path}: line {lineno}: empty sample id")
+        if sample_id in sample_ids:
+            raise ParseError(
+                f"{path}: line {lineno}: duplicate sample id {sample_id!r}"
+            )
+        if sidecar is not None:
+            if sample_id not in sidecar:
+                raise UnlabeledSample(
+                    f"sample {sample_id!r} has no entry in the labels file"
+                )
+            group = sidecar[sample_id]
+        elif group_col is not None:
+            raw = row[group_col].strip()
+            if raw not in ("1", "2"):
+                raise ParseError(
+                    f"{path}: line {lineno}: group must be 1 or 2, got {raw!r}"
+                )
+            group = int(raw)
+        else:
+            raise UnlabeledSample(
+                f"sample {sample_id!r} is unlabeled: the file has no group "
+                "column and no labels file was given"
+            )
+        row_values = []
+        for idx in gene_cols:
+            field = row[idx].strip()
+            try:
+                row_values.append(float(field))
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {header[idx]!r}: "
+                    f"not a number: {field!r}"
+                ) from exc
+        sample_ids.add(sample_id)
+        groups.append(group)
+        values.append(row_values)
+
+    matrix = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ParseError(
+            f"{path}: line {line_nums[i + 1]}, column {genes[j]!r}: "
+            f"not a finite number: {rows[i + 1][gene_cols[j]].strip()!r}"
+        )
+    order1 = [i for i, g in enumerate(groups) if g == 1]
+    order2 = [i for i, g in enumerate(groups) if g == 2]
+    for label, members in (("1", order1), ("2", order2)):
+        if len(members) < 2:
+            raise GroupTooSmall(
+                f"group {label} has {len(members)} samples; need at least 2"
+            )
+    sample = GroupedSample.from_groups(matrix[order1], matrix[order2])
+    gene_index = {gene: col for col, gene in enumerate(genes)}
+    return sample, gene_index
+
+
+# ---------------------------------------------------------------------------
+# A seeded corpus of expression files
+# ---------------------------------------------------------------------------
+
+# Valid under float(cell.strip()): signs, bare points, exponents, underscores,
+# non-ASCII digits and whitespace, and the separators \x1c-\x1f, which
+# str.strip() removes but float() alone does not.
+EXOTIC_VALID = [
+    "1_000", "١٢", "１２", "\xa01.5", "+3", ".5", "1.", "-0", "0001", "1E5",
+    "1e-400", " 4 ", "2\t", "　1", "१२३", "١.٥", "\x1f2", "2\x1c",
+]
+NOT_A_NUMBER = [
+    "abc", "", "  ", "1e", "0x10", "1,5", "1__0", "_1", "1_", "0b1", "1j",
+    "True", "- 1", ".", "e5", "1d5", "NaN(1)", "1.\n5",
+]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "+nan", "1e999", "-Infinity", "inF"]
+
+
+def _value(rng):
+    if rng.random() < 0.15:
+        return rng.choice(EXOTIC_VALID)
+    return repr(round(rng.gauss(0.0, 3.0), rng.randint(0, 17)))
+
+
+def make_case(seed, tmp_path):
+    """One expression file (and maybe a labels file) from the seed.
+
+    Returns (expression path, labels path or None).
+    """
+    rng = random.Random(seed)
+    p = rng.randint(1, 5)
+    n = rng.randint(2, 9)
+    genes = [f"G{j}" for j in range(1, p + 1)]
+    mode = rng.choice(["first", "middle", "last", "last", "sidecar", "none"])
+    group_pos = {"first": 1, "middle": 1 + (p + 1) // 2, "last": p + 1}.get(mode)
+    header = ["sample", *genes]
+    if group_pos is not None:
+        header.insert(group_pos, rng.choice(["group", "Group", "GROUP"]))
+    if rng.random() < 0.08:
+        header[rng.randrange(1, len(header))] = rng.choice(["G1", "", " G2 "])
+    if rng.random() < 0.03:
+        header = ["sample"]
+
+    ids = [f"s{i}" for i in range(n)]
+    groups = [1 + (i % 2) for i in range(n)]
+    rng.shuffle(groups)
+    rows = []
+    for sid, grp in zip(ids, groups):
+        row = [sid, *(_value(rng) for _ in genes)]
+        if group_pos is not None:
+            row.insert(group_pos, str(grp))
+        rows.append(row)
+
+    value_cols = [i for i in range(1, len(header)) if i != group_pos]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        i = rng.randrange(n)
+        kind = rng.choice(
+            ["bad", "bad", "nonfinite", "nonfinite", "ragged", "empty_id",
+             "dup_id", "bad_group", "small_group", "multiline_id", "pad_id"]
+        )
+        cols = [c for c in value_cols if c < len(rows[i])]
+        if kind == "bad" and cols:
+            rows[i][rng.choice(cols)] = rng.choice(NOT_A_NUMBER)
+        elif kind == "nonfinite" and cols:
+            rows[i][rng.choice(cols)] = rng.choice(NON_FINITE)
+        elif kind == "ragged":
+            if rng.random() < 0.5:
+                rows[i].append("1.0")
+            else:
+                rows[i].pop()
+        elif kind == "empty_id":
+            rows[i][0] = rng.choice(["", "  "])
+        elif kind == "dup_id" and i:
+            rows[i][0] = rows[rng.randrange(i)][0]
+        elif kind == "bad_group" and group_pos is not None and group_pos < len(rows[i]):
+            rows[i][group_pos] = rng.choice(["3", "", "0", "one", "1.0"])
+        elif kind == "small_group" and group_pos is not None:
+            keep = rng.choice(["1", "2"])
+            for row in rows[1:]:
+                if group_pos < len(row):
+                    row[group_pos] = keep
+        elif kind == "multiline_id":
+            rows[i][0] = f"s\n{i}"
+        elif kind == "pad_id":
+            rows[i][0] = f" {rows[i][0]} "
+    if rng.random() < 0.05:
+        rows = []  # header only
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    lines = []
+    for row in [header, *rows]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue())
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        blank = rng.choice(["\n", " \n", "\t\n", ",,\n", '""\n'])
+        lines.insert(rng.randint(0, len(lines)), blank)
+    path = tmp_path / f"expr{seed}.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write("".join(lines))
+
+    labels = None
+    if mode == "sidecar":
+        labelled = list(zip(ids, groups))
+        if rng.random() < 0.2:
+            labelled.pop(rng.randrange(n))
+        labels = tmp_path / f"labels{seed}.csv"
+        labels.write_text(
+            "sample,group\n" + "".join(f"{s},{g}\n" for s, g in labelled)
+        )
+        labels = str(labels)
+    return str(path), labels
+
+
+def outcome(loader, path, labels):
+    try:
+        sample, gene_index = loader(path, labels)
+    except (ParseError, UnlabeledSample, GroupTooSmall) as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        "ok",
+        sample.X.shape,
+        sample.X.tobytes(),
+        sample.g.tobytes(),
+        sample.n1,
+        sample.n2,
+        list(gene_index.items()),
+    )
+
+
+def test_streamed_loader_matches_reference_on_seeded_corpus(tmp_path):
+    seen = []
+    for seed in range(400):
+        path, labels = make_case(seed, tmp_path)
+        expected = outcome(reference_load_expression, path, labels)
+        got = outcome(load_expression, path, labels)
+        assert got == expected, (seed, Path(path).read_text())
+        seen.append(expected[0] if expected[0] == "ok" else expected[1])
+    # The corpus reaches every outcome the loader has, valid files included.
+    text = "\n".join(seen)
+    for needle in (
+        "ok", "not a number", "not a finite number", "expected", "empty sample id",
+        "duplicate sample id", "group must be", "no entry in the labels file",
+        "unlabeled", "need at least 2", "need a header row",
+        "duplicate gene identifier", "empty gene identifier",
+        "header must name at least one gene",
+    ):
+        assert needle in text, needle
+
+
+def test_exotic_literals_parse_as_float_of_stripped_cell(tmp_path):
+    cells = EXOTIC_VALID
+    rows = ["sample," + ",".join(f"G{j}" for j in range(len(cells))) + ",group"]
+    for i in range(4):
+        rows.append(f"s{i}," + ",".join(cells) + f",{1 + i % 2}")
+    path = tmp_path / "exotic.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write("\n".join(rows) + "\n")
+    sample, _ = load_expression(str(path))
+    expected = np.array([float(c.strip()) for c in cells])
+    assert sample.X.tobytes() == np.tile(expected, (4, 1)).tobytes()
+    assert outcome(load_expression, str(path), None) == outcome(
+        reference_load_expression, str(path), None
+    )
+
+
+def test_header_only_file_reports_missing_rows_before_header_errors(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("\nsample,G1,G1,group\n\n")
+    for loader in (load_expression, reference_load_expression):
+        with pytest.raises(ParseError, match="need a header row and at least one"):
+            loader(str(path))
+
+
+def test_non_finite_cell_yields_to_a_later_structural_error(tmp_path):
+    # The non-finite cell comes first in the file, but a later row's number
+    # or structural error is raised: every row is checked before values.
+    text = (
+        "sample,G1,group\ns1,nan,1\ns2,1.0,1\ns3,abc,2\ns4,2.0,2\n"
+    )
+    path = tmp_path / "order.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="line 4, column 'G1': not a number: 'abc'"):
+        load_expression(str(path))
+    path.write_text(text.replace("abc", "inf"))
+    with pytest.raises(ParseError, match="line 2, column 'G1': not a finite number: 'nan'"):
+        load_expression(str(path))
+
+
+def test_loader_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
+    # 200 samples x 2000 genes: 3.2 MB of float64. Holding every cell's
+    # string and a Python float per cell peaked at 15x this; one row at a
+    # time stays near 2x (the row arrays, then the stacked matrix).
+    rng = np.random.default_rng(8)
+    n, p = 200, 2000
+    X = rng.normal(size=(n, p))
+    lines = ["sample," + ",".join(f"G{j}" for j in range(p)) + ",group"]
+    for i, row in enumerate(X.tolist()):
+        lines.append(f"s{i}," + ",".join(map(repr, row)) + f",{1 + i % 2}")
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        sample, _ = load_expression(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(sample, GroupedSample)
+    assert sample.X.tobytes() == np.concatenate([X[0::2], X[1::2]]).tobytes()
+    assert peak <= 6 * X.nbytes, peak / X.nbytes
