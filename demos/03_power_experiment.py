@@ -18,8 +18,7 @@ from dagtest import (
     SimConfig,
     gen_dataset,
     power_lower_bound,
-    run_experiment,
-    t2dag,
+    run_delta_grid,
 )
 
 METHODS = ("t2dag_chi2", "t2dag_z", "hotelling", "bai_saranadasa", "chen_qin")
@@ -27,9 +26,10 @@ BASE = SimConfig(n1=30, n2=30, p=20, replicates=400, seed=5)
 GRID = (0.0, 0.1, 0.2, 0.3)
 
 # ---------------------------------------------------------------------------
-# Rejection rates per method, one experiment per grid point.
+# Rejection rates per method, one table per grid point. Every grid point sees
+# the same replicates (graphs, coefficients, noise), each drawn once.
 # ---------------------------------------------------------------------------
-tables = [run_experiment(replace(BASE, delta=d), METHODS, threads=4) for d in GRID]
+tables = run_delta_grid(BASE, GRID, METHODS, threads=4)
 
 print(f"{'delta':>6}" + "".join(f"{m:>16}" for m in METHODS))
 for d, table in zip(GRID, tables):

@@ -73,6 +73,7 @@ _EXPORTS = {
         "gen_errors",
         "run_experiment",
         "stream_rng",
+        "run_delta_grid",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -49,7 +49,7 @@ from .errors import ConfigError, DagTestError  # noqa: E402
 from .mean_tests import METHODS, bonferroni_adjust, map_in_order, run_methods  # noqa: E402
 from .pathway import acyclic_reduction, parse_edge_document  # noqa: E402
 from .sem import GroupedSample  # noqa: E402
-from .simulate import MethodSummary, SimConfig, run_experiment  # noqa: E402
+from .simulate import MethodSummary, SimConfig, run_delta_grid  # noqa: E402
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -277,10 +277,7 @@ def cmd_simulate(args) -> int:
             if delta_grid is not None
             else [cfg.delta]
         )
-        tables = [
-            run_experiment(replace(cfg, delta=d), methods, threads=args.threads)
-            for d in deltas
-        ]
+        tables = run_delta_grid(cfg, deltas, methods, threads=args.threads)
     except ConfigError as exc:
         print(f"error: config error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2

@@ -41,7 +41,9 @@ def _csv_rows(path: str, handle) -> Iterator[tuple[int, list[str]]]:
 
     Raises:
         ParseError: the CSV reader's own error (say, a field over its size
-            limit), with the line where the row starts.
+            limit), with the line where the row starts; or a byte the file's
+            encoding cannot decode, with the file only, because the decoder
+            reads ahead of the row the reader is on.
     """
     reader = csv.reader(handle)
     start = 1
@@ -52,6 +54,8 @@ def _csv_rows(path: str, handle) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}: line {start}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_labels(path: str) -> dict[str, int]:
@@ -60,7 +64,8 @@ def load_labels(path: str) -> dict[str, int]:
     The first non-blank row is a header when its group field is not 1 or 2.
 
     Raises:
-        ParseError: wrong field count or a group value outside {1, 2}.
+        ParseError: wrong field count, an empty or duplicate sample id, or a
+            group value outside {1, 2}.
     """
     labels: dict[str, int] = {}
     with open(path, newline="") as handle:
@@ -72,6 +77,8 @@ def load_labels(path: str) -> dict[str, int]:
             sample, group = row[0].strip(), row[1].strip()
             if index == 0 and group not in ("1", "2"):
                 continue  # header row
+            if not sample:
+                raise ParseError(f"{path}: line {lineno}: empty sample id")
             if group not in ("1", "2"):
                 raise ParseError(
                     f"{path}: line {lineno}: group must be 1 or 2, got {group!r}"

@@ -12,7 +12,7 @@ independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -337,19 +337,18 @@ def _confounder_noise(
     return w @ loadings
 
 
-def gen_dataset(
-    cfg: SimConfig, replicate: int = 0
-) -> tuple[GroupedSample, PathwayDag, PathwayDag, PopulationModel]:
-    """One replicate's data: sample, true graph, test graph, population truth.
+def _draw(
+    cfg: SimConfig, replicate: int
+) -> tuple[np.ndarray, PathwayDag, PathwayDag, np.ndarray, np.ndarray]:
+    """The part of one replicate that does not depend on delta.
 
-    Group means are μ1 = 0 and μ2 = delta on the first q coordinates; each
-    row is μ + (I−Qᵀ)⁻¹(noise), computed by forward substitution on the unit
-    lower-triangular system. The test graph equals the true graph unless a
-    perturbation is configured; a perturbation without its own seed draws
-    from this replicate's perturbation stream.
+    Returns (X, true_dag, used_dag, Q, R), where X holds the n1 + n2 rows
+    (I−Qᵀ)⁻¹(noise) before group 2 is shifted. Every draw comes from the
+    replicate's (seed, replicate, substream) streams, so all configs that
+    differ only in delta share it.
     """
-    p, n1, n2 = cfg.p, cfg.n1, cfg.n2
-    n = n1 + n2
+    p = cfg.p
+    n = cfg.n1 + cfg.n2
     true_dag = gen_adjacency(
         p,
         cfg.p0_fraction,
@@ -375,11 +374,6 @@ def gen_dataset(
     # busy machine each handoff can wait a scheduler tick; dtrsm keeps small
     # solves on the calling thread.
     X = dtrsm(1.0, np.eye(p) - Q.T, noise.T, lower=1, diag=1).T
-    mu1 = np.zeros(p)
-    mu2 = np.zeros(p)
-    mu2[: cfg.q] = cfg.delta
-    X[n1:] += mu2
-    sample = GroupedSample.from_groups(X[:n1], X[n1:])
     used_dag = true_dag
     if cfg.perturbation.mode != "none":
         if cfg.perturbation.seed is not None:
@@ -387,7 +381,33 @@ def gen_dataset(
         else:
             pert_rng = stream_rng(cfg.seed, replicate, _PERTURBATION)
         used_dag = perturb_edges(true_dag, cfg.perturbation, rng=pert_rng)
-    model = PopulationModel(mu1=mu1, mu2=mu2, Q=Q, R=R)
+    return X, true_dag, used_dag, Q, R
+
+
+def _shift(cfg: SimConfig, X: np.ndarray) -> tuple[GroupedSample, np.ndarray]:
+    """The sample with group 2's rows of X shifted by μ2, and μ2 itself:
+    delta on the first q coordinates, 0 elsewhere. X is left as it is."""
+    mu2 = np.zeros(cfg.p)
+    mu2[: cfg.q] = cfg.delta
+    return GroupedSample.from_groups(X[: cfg.n1], X[cfg.n1 :] + mu2), mu2
+
+
+def gen_dataset(
+    cfg: SimConfig, replicate: int = 0
+) -> tuple[GroupedSample, PathwayDag, PathwayDag, PopulationModel]:
+    """One replicate's data: sample, true graph, test graph, population truth.
+
+    Group means are μ1 = 0 and μ2 = delta on the first q coordinates; each
+    row is μ + (I−Qᵀ)⁻¹(noise), computed by forward substitution on the unit
+    lower-triangular system. The test graph equals the true graph unless a
+    perturbation is configured; a perturbation without its own seed draws
+    from this replicate's perturbation stream. Nothing drawn depends on
+    delta: configs that differ only in delta get the same graphs,
+    coefficients and noise.
+    """
+    X, true_dag, used_dag, Q, R = _draw(cfg, replicate)
+    sample, mu2 = _shift(cfg, X)
+    model = PopulationModel(mu1=np.zeros(cfg.p), mu2=mu2, Q=Q, R=R)
     return sample, true_dag, used_dag, model
 
 
@@ -437,46 +457,35 @@ def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]
     return low, high
 
 
-def _replicate_outcome(
-    cfg: SimConfig, replicate: int, methods: Sequence[str]
-) -> tuple[dict, list[str]]:
-    """Decisions {method: True/False/None} for one replicate; None = failed."""
-    decisions: dict = {m: None for m in methods}
-    notes: list[str] = []
+def _replicate_outcomes(
+    configs: Sequence[SimConfig], replicate: int, methods: Sequence[str]
+) -> list[tuple[dict, list[str]]]:
+    """Per config, decisions {method: True/False/None} for one replicate
+    (None = failed) and its notes. The replicate is drawn once, from
+    configs[0], and each config applies its own delta to that draw."""
     try:
-        sample, _true_dag, used_dag, _model = gen_dataset(cfg, replicate)
+        X, _true_dag, used_dag, _Q, _R = _draw(configs[0], replicate)
     except (DagTestError, ValueError) as exc:
-        notes.append(f"replicate {replicate}: {exc}")
-        return decisions, notes
-    results, errors = run_methods(sample, used_dag, methods)
-    for result in results:
-        decisions[result.method] = bool(result.p_value <= cfg.alpha)
-    notes.extend(f"replicate {replicate}, {line}" for line in errors)
-    return decisions, notes
+        note = f"replicate {replicate}: {exc}"
+        return [(dict.fromkeys(methods), [note]) for _ in configs]
+    outcomes = []
+    for cfg in configs:
+        sample, _mu2 = _shift(cfg, X)
+        results, errors = run_methods(sample, used_dag, methods)
+        decisions: dict = dict.fromkeys(methods)
+        for result in results:
+            decisions[result.method] = bool(result.p_value <= cfg.alpha)
+        notes = [f"replicate {replicate}, {line}" for line in errors]
+        outcomes.append((decisions, notes))
+    return outcomes
 
 
-def run_experiment(
-    cfg: SimConfig, methods: Sequence[str], threads: int = 1
+def _fold_table(
+    cfg: SimConfig,
+    methods: tuple[str, ...],
+    outcomes: Sequence[tuple[dict, list[str]]],
 ) -> ExperimentTable:
-    """Rejection-rate table over cfg.replicates fresh datasets.
-
-    Per-replicate failures (for example a singular covariance for Hotelling)
-    are tallied per method and reported in the table, never fatal. The result
-    is a pure function of (cfg, methods): replicates draw from counter-based
-    streams and the tally is folded in replicate order, so any ``threads``
-    setting produces the identical table.
-    """
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("methods must be nonempty")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    outcomes = map_in_order(
-        lambda r: _replicate_outcome(cfg, r, methods), range(cfg.replicates), threads
-    )
+    """Fold per-replicate outcomes, in replicate order, into one table."""
     n_reject = dict.fromkeys(methods, 0)
     n_total = dict.fromkeys(methods, 0)
     n_failed = dict.fromkeys(methods, 0)
@@ -508,3 +517,57 @@ def run_experiment(
     if len(notes) > 20:
         notes = notes[:20] + [f"... and {len(notes) - 20} more"]
     return ExperimentTable(config=cfg, rows=tuple(rows), failure_notes=tuple(notes))
+
+
+def _tables(
+    configs: Sequence[SimConfig], methods: Sequence[str], threads: int
+) -> list[ExperimentTable]:
+    """One table per config, for configs that differ only in delta: each
+    replicate is drawn once, from configs[0], and tested under every config.
+    Configs are used as given, not validated again."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must be nonempty")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if not configs:
+        raise ValueError("deltas must be nonempty")
+    per_replicate = map_in_order(
+        lambda r: _replicate_outcomes(configs, r, methods),
+        range(configs[0].replicates),
+        threads,
+    )
+    return [
+        _fold_table(cfg, methods, outcomes)
+        for cfg, outcomes in zip(configs, zip(*per_replicate))
+    ]
+
+
+def run_delta_grid(
+    cfg: SimConfig, deltas: Sequence[float], methods: Sequence[str], threads: int = 1
+) -> list[ExperimentTable]:
+    """One table per delta, each equal to
+    ``run_experiment(replace(cfg, delta=d), methods, threads)``.
+
+    Nothing a replicate draws depends on delta, so every delta sees the same
+    graphs, coefficients and noise; each replicate is drawn once for the
+    whole grid rather than once per delta.
+    """
+    return _tables([replace(cfg, delta=d) for d in deltas], methods, threads)
+
+
+def run_experiment(
+    cfg: SimConfig, methods: Sequence[str], threads: int = 1
+) -> ExperimentTable:
+    """Rejection-rate table over cfg.replicates fresh datasets.
+
+    Per-replicate failures (for example a singular covariance for Hotelling)
+    are tallied per method and reported in the table, never fatal. The result
+    is a pure function of (cfg, methods): replicates draw from counter-based
+    streams and the tally is folded in replicate order, so any ``threads``
+    setting produces the identical table.
+    """
+    return _tables([cfg], methods, threads)[0]

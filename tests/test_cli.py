@@ -406,6 +406,24 @@ def test_cmd_test_reports_csv_reader_error(workdir, capsys):
     )
 
 
+def test_cmd_test_reports_undecodable_expression_file(workdir, capsys):
+    expr = workdir / "binary.csv"
+    expr.write_bytes(EXPRESSION.encode() + b"s9,\xff,1,1,1,1,2\n")
+    code = main(
+        [
+            "test",
+            "--expression",
+            str(expr),
+            "--pathway",
+            str(workdir / "pathways" / "chain.tsv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expr}: ")
+    assert "can't decode byte 0xff" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_load_labels_rejects_bad_rows(tmp_path):
         load_labels(write(tmp_path, "c.csv", "s1,1\ns1,2\n"))
 
 
+def test_load_labels_rejects_empty_sample_id(tmp_path):
+    path = write(tmp_path, "lab.csv", "sample,group\ns1,1\n,2\ns2,2\n")
+    with pytest.raises(ParseError) as info:
+        load_labels(path)
+    assert str(info.value) == f"{path}: line 3: empty sample id"
+    # A whitespace-only id is empty too; a header row may leave it blank.
+    with pytest.raises(ParseError, match=re.escape("line 2: empty sample id")):
+        load_labels(write(tmp_path, "b.csv", "s1,1\n  ,2\n"))
+    assert load_labels(write(tmp_path, "c.csv", ",group\ns1,1\n")) == {"s1": 1}
+
+
 def test_load_labels_header_is_first_non_blank_row(tmp_path):
     path = write(tmp_path, "lab.csv", "\n \nsample,group\ns1,1\n\ns2,2\n")
     assert load_labels(path) == {"s1": 1, "s2": 2}
@@ -95,6 +106,18 @@ def test_csv_reader_errors_are_parse_errors(tmp_path, loader):
     assert str(info.value) == (
         f"{path}: line 4: field larger than field limit (131072)"
     )
+
+
+@pytest.mark.parametrize("loader", [load_labels, load_expression])
+def test_undecodable_bytes_are_parse_errors_naming_the_file(tmp_path, loader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"sample,group\ns1,1\ns\xff2,2\n")
+    with pytest.raises(ParseError) as info:
+        loader(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert "can't decode byte 0xff" in message
+    assert "line" not in message
 
 
 def test_load_expression_row_error_precedes_later_csv_error(tmp_path):

@@ -1,21 +1,38 @@
 """Synthetic data generator and the replicated experiment driver."""
 
+import json
 import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.blas import dtrsm
 
+import dagtest.simulate
+from dagtest.cli import main
+from dagtest.data_io import csv_text
+from dagtest.divergence import PopulationModel
 from dagtest.errors import ConfigError
-from dagtest.pathway import EdgePerturbation, PathwayDag
+from dagtest.mean_tests import METHODS
+from dagtest.pathway import EdgePerturbation, PathwayDag, perturb_edges
+from dagtest.sem import GroupedSample
 from dagtest.simulate import (
+    _ADJACENCY,
+    _COEFFICIENTS,
+    _CONFOUNDERS,
+    _ERRORS,
+    _PERTURBATION,
     ERROR_FAMILIES,
     ConfounderConfig,
+    MethodSummary,
     SimConfig,
+    _confounder_noise,
     gen_adjacency,
     gen_coefficients,
     gen_dataset,
     gen_errors,
+    run_delta_grid,
     run_experiment,
     round_half_up,
     stream_rng,
@@ -397,3 +414,203 @@ def test_run_experiment_table_serialization():
     assert doc["results"][0]["method"] == "t2dag_z"
     assert doc["results"][0]["n_total"] == 4
     assert doc["failure_notes"] == []
+
+
+# ---------------------------------------------------------------------------
+# run_delta_grid: one draw per replicate for the whole grid
+# ---------------------------------------------------------------------------
+
+GRID = (0.0, 0.3, -1.0)
+
+
+def _forced_infinite_r0(cfg: SimConfig) -> SimConfig:
+    # Past the config check: every replicate's draw fails.
+    object.__setattr__(cfg, "r0", math.inf)
+    return cfg
+
+
+def grid_configs() -> dict:
+    base = SimConfig(n1=12, n2=12, p=8, replicates=5, seed=3)
+    return {
+        "default": base,
+        "confounders": replace(base, confounders=ConfounderConfig()),
+        "perturbation_seeded": replace(
+            base, perturbation=EdgePerturbation("missing", 0.4, seed=4)
+        ),
+        "perturbation_unseeded": replace(
+            base, perturbation=EdgePerturbation("redundant", 0.5)
+        ),
+        "uniform": replace(base, error_family="uniform"),
+        "gamma": replace(base, error_family="gamma"),
+        "lognormal": replace(base, error_family="lognormal"),
+        # p >= n: Hotelling fails in every replicate.
+        "p_at_least_n": replace(base, n1=5, n2=5, p=12),
+        # A valid config whose every draw fails: sqrt(3 * 1e308) overflows.
+        "draw_overflows": replace(base, replicates=3, r0=1e308, error_family="uniform"),
+    }
+
+
+def experiment_csv(deltas, tables) -> str:
+    """experiment.csv as ``dagtest simulate`` writes it."""
+    header = ["delta", *(f.name for f in fields(MethodSummary))]
+    rows = [
+        [delta, *astuple(r)] for delta, table in zip(deltas, tables) for r in table.rows
+    ]
+    return csv_text(header, rows)
+
+
+# The overflowing draw warns before it raises.
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", list(grid_configs()))
+def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
+    cfg = grid_configs()[name]
+    grid = run_delta_grid(cfg, GRID, METHODS, threads=threads)
+    singles = [run_experiment(replace(cfg, delta=d), METHODS, threads) for d in GRID]
+    assert [t.to_dict() for t in grid] == [t.to_dict() for t in singles]
+    assert experiment_csv(GRID, grid) == experiment_csv(GRID, singles)
+    if name == "draw_overflows":
+        for table in grid:
+            assert all(row.n_failed == 3 for row in table.rows)
+            assert table.failure_notes == tuple(
+                f"replicate {r}: uniform half-width sqrt(3*r) is not finite"
+                for r in range(3)
+            )
+    if name == "p_at_least_n":
+        hotelling = [row for row in grid[0].rows if row.method == "hotelling"]
+        assert hotelling[0].n_failed == cfg.replicates
+
+
+def test_run_delta_grid_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="deltas must be nonempty"):
+        run_delta_grid(SimConfig(n1=10, n2=10, p=5), [], ("t2dag_chi2",))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_forced_non_finite_draw_fails_in_every_table(threads):
+    # run_delta_grid validates each replace(cfg, delta=d), which refuses a
+    # forced r0 = inf, so the grid goes to the shared implementation directly.
+    configs = [
+        _forced_infinite_r0(SimConfig(n1=10, n2=10, p=5, replicates=3, delta=d))
+        for d in GRID
+    ]
+    grid = dagtest.simulate._tables(configs, METHODS, threads)
+    singles = [run_experiment(cfg, METHODS, threads) for cfg in configs]
+    assert [t.to_dict() for t in grid] == [t.to_dict() for t in singles]
+    assert experiment_csv(GRID, grid) == experiment_csv(GRID, singles)
+    for table in grid:
+        assert all(row.n_total == 0 and row.n_failed == 3 for row in table.rows)
+        assert table.failure_notes == tuple(
+            f"replicate {r}: array must not contain infs or NaNs" for r in range(3)
+        )
+
+
+def test_cmd_simulate_csv_equals_one_experiment_per_delta(tmp_path):
+    doc = {"n1": 10, "n2": 10, "p": 6, "replicates": 4, "seed": 8,
+           "confounders": {}, "delta_grid": list(GRID)}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    args = ["simulate", "--config", str(tmp_path / "cfg.json"),
+            "--methods", "all", "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    base = SimConfig.from_dict({k: v for k, v in doc.items() if k != "delta_grid"})
+    singles = [run_experiment(replace(base, delta=d), METHODS) for d in GRID]
+    written = (tmp_path / "out" / "experiment.csv").read_text()
+    assert written == experiment_csv(GRID, singles)
+
+
+@pytest.fixture
+def adjacency_calls(monkeypatch):
+    calls = []
+    real = dagtest.simulate.gen_adjacency
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dagtest.simulate, "gen_adjacency", counting)
+    return calls
+
+
+def test_run_delta_grid_draws_each_replicate_once(adjacency_calls):
+    cfg = SimConfig(n1=10, n2=10, p=6, replicates=4, seed=2)
+    tables = run_delta_grid(cfg, GRID, ("t2dag_chi2",), threads=2)
+    assert len(tables) == len(GRID)
+    assert len(adjacency_calls) == cfg.replicates
+
+
+def test_cmd_simulate_draws_each_replicate_once(tmp_path, adjacency_calls):
+    doc = {"n1": 10, "n2": 10, "p": 6, "replicates": 4, "seed": 2,
+           "delta_grid": list(GRID)}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    args = ["simulate", "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 0
+    assert len(adjacency_calls) == doc["replicates"]
+
+
+def _gen_dataset_reference(cfg: SimConfig, replicate: int = 0):
+    """gen_dataset as one function, before its delta-free draw was split
+    from the group-2 shift: the reference the split must match bit for bit."""
+    p, n1, n2 = cfg.p, cfg.n1, cfg.n2
+    n = n1 + n2
+    true_dag = gen_adjacency(
+        p,
+        cfg.p0_fraction,
+        cfg.nb_failures,
+        cfg.nb_success,
+        stream_rng(cfg.seed, replicate, _ADJACENCY),
+    )
+    Q = gen_coefficients(
+        true_dag, cfg.kappa, stream_rng(cfg.seed, replicate, _COEFFICIENTS)
+    )
+    R = np.full(p, cfg.r0)
+    noise = gen_errors(
+        cfg.error_family, R, n, stream_rng(cfg.seed, replicate, _ERRORS)
+    )
+    if cfg.confounders is not None:
+        noise = noise + _confounder_noise(
+            cfg.confounders, Q, n, stream_rng(cfg.seed, replicate, _CONFOUNDERS)
+        )
+    if not (np.isfinite(Q).all() and np.isfinite(noise).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    X = dtrsm(1.0, np.eye(p) - Q.T, noise.T, lower=1, diag=1).T
+    mu1 = np.zeros(p)
+    mu2 = np.zeros(p)
+    mu2[: cfg.q] = cfg.delta
+    X[n1:] += mu2
+    sample = GroupedSample.from_groups(X[:n1], X[n1:])
+    used_dag = true_dag
+    if cfg.perturbation.mode != "none":
+        if cfg.perturbation.seed is not None:
+            pert_rng = np.random.default_rng(cfg.perturbation.seed)
+        else:
+            pert_rng = stream_rng(cfg.seed, replicate, _PERTURBATION)
+        used_dag = perturb_edges(true_dag, cfg.perturbation, rng=pert_rng)
+    model = PopulationModel(mu1=mu1, mu2=mu2, Q=Q, R=R)
+    return sample, true_dag, used_dag, model
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, -1.0])
+@pytest.mark.parametrize("name", [n for n in grid_configs() if n != "draw_overflows"])
+def test_gen_dataset_bit_identical_to_reference(name, delta):
+    cfg = replace(grid_configs()[name], delta=delta)
+    for replicate in range(3):
+        got = gen_dataset(cfg, replicate)
+        want = _gen_dataset_reference(cfg, replicate)
+        for attr in ("X", "g"):
+            a, b = getattr(got[0], attr), getattr(want[0], attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (got[0].n1, got[0].n2) == (want[0].n1, want[0].n2)
+        for a, b in zip(got[1:3], want[1:3]):
+            assert (a.p, a.edges) == (b.p, b.edges)
+        for attr in ("mu1", "mu2", "Q", "R"):
+            a, b = getattr(got[3], attr), getattr(want[3], attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_gen_dataset_draw_failure_matches_reference():
+    cfg = _forced_infinite_r0(SimConfig(n1=10, n2=10, p=5))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        _gen_dataset_reference(cfg)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        gen_dataset(cfg)
