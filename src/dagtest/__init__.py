@@ -46,7 +46,6 @@ _EXPORTS = {
         "PathwayDag",
         "acyclic_reduction",
         "parse_edge_document",
-        "parse_edge_list",
         "perturb_edges",
         "topological_order",
     ),

@@ -55,6 +55,11 @@ class InsufficientNonEdges(DagTestError):
 # Model estimation
 # ---------------------------------------------------------------------------
 
+class ValueOutOfRange(DagTestError):
+    """A sample holds a NaN, an infinity, or a value so large that some
+    statistic's sums of fourth powers would overflow."""
+
+
 class RankDeficientDesign(DagTestError):
     """The (centered) parent design block is numerically rank deficient."""
 

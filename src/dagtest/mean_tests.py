@@ -159,7 +159,11 @@ def t2dag(
     Returns:
         (chi2 result, z result) sharing one SEM fit; the z statistic is
         exactly (chi2 − p)/√(2p).
+
+    Raises:
+        ValueOutOfRange: some value of the sample is out of range.
     """
+    sample._check_range(dag)
     est = estimate if estimate is not None else fit_sem(sample, dag)
     p = dag.p
     d = sample.mean_diff[list(dag.topo_order)]
@@ -193,18 +197,17 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
         dag: optional, used only to fill the graph entries of ``meta``.
 
     Raises:
+        ValueOutOfRange: some value of the sample is out of range.
         DimensionTooLarge: unless n1+n2 > p+1.
-        SingularCovariance: pooled covariance not finite or not positive
-            definite.
+        SingularCovariance: pooled covariance not positive definite.
     """
+    sample._check_range(dag)
     p, n = sample.p, sample.n
     if n <= p + 1:
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
     pooled = sample.gram / (n - 1)
-    if not np.isfinite(pooled).all():
-        raise SingularCovariance("pooled covariance is not finite")
     diff = sample.mean_diff
     try:
         factor = cho_factor(pooled, check_finite=False)
@@ -291,10 +294,12 @@ def baseline(
         dag: optional, used only to fill the graph entries of ``meta``.
 
     Raises:
+        ValueOutOfRange: some value of the sample is out of range.
         InsufficientSamples: either group has fewer than 3 samples.
     """
     if which not in ("bai_saranadasa", "chen_qin"):
         raise ValueError(f"unknown baseline {which!r}")
+    sample._check_range(dag)
     if sample.n1 < 3 or sample.n2 < 3:
         raise InsufficientSamples("baselines need at least 3 samples per group")
     if which == "bai_saranadasa":

@@ -14,9 +14,8 @@ Node indexing conventions:
 from __future__ import annotations
 
 import heapq
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -140,32 +139,6 @@ class PathwayDag:
 
     def label_of(self, node: int) -> str:
         return self.node_labels[node] if self.node_labels else str(node)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "labels": list(self.node_labels) if self.node_labels else None,
-            "edges": sorted([j, k] for j, k in self.edges),
-            "removed_edges": [list(e) for e in self.removed_edges],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "PathwayDag":
-        return cls.from_edges(
-            edges=[tuple(e) for e in doc["edges"]],
-            p=int(doc["p"]),
-            labels=doc.get("labels"),
-            removed_edges=[tuple(e) for e in doc.get("removed_edges", [])],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PathwayDag":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +410,3 @@ def parse_edge_document(
             signs[e] = parts[2].strip()
     return labels, edges, signs
 
-
-def parse_edge_list(text: str) -> PathwayDag:
-    """Parse an edge-list document into a validated :class:`PathwayDag`.
-
-    Strict variant: self-loops and cycles are errors here. Use
-    :func:`parse_edge_document` + :func:`acyclic_reduction` to ingest curated
-    pathways that may contain feedback loops.
-    """
-    labels, edges, signs = parse_edge_document(text)
-    return PathwayDag.from_edges(
-        edges, p=len(labels), labels=labels, edge_signs=signs
-    )

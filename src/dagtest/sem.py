@@ -32,6 +32,7 @@ from scipy.linalg.lapack import dtrtri
 from .errors import (
     InsufficientSamples,
     RankDeficientDesign,
+    ValueOutOfRange,
     ZeroResidualVariance,
 )
 from .pathway import PathwayDag
@@ -148,6 +149,47 @@ class GroupedSample:
         out.flags.writeable = False
         return out
 
+    @property
+    def _value_bound(self) -> float:
+        """Largest |x| at which no statistic overflows.
+
+        The largest intermediate any method forms is a fourth-order trace
+        sum of Chen–Qin or Bai–Saranadasa, at most about 16·n²·p²·max|x|⁴,
+        so max|x| must stay below (float max / (16·n²·p²))^(1/4).
+        """
+        return math.sqrt(math.sqrt(_FLOAT_MAX) / (4.0 * self.n * max(self.p, 1)))
+
+    @cached_property
+    def _out_of_range(self) -> int | None:
+        """The first column holding NaN, ±inf or a value beyond
+        ±``_value_bound``; None when every value is in range.
+
+        Two scalar reductions decide, without a warning: NaN propagates
+        through both and fails the comparison. Only a sample that fails is
+        searched for its column.
+        """
+        X, bound = self.X, self._value_bound
+        lo = float(np.minimum.reduce(X, axis=None, initial=0.0))
+        hi = float(np.maximum.reduce(X, axis=None, initial=0.0))
+        if -bound <= lo and hi <= bound:
+            return None
+        return int(np.flatnonzero(~(np.abs(X) <= bound).all(axis=0))[0])
+
+    def _check_range(self, dag: PathwayDag | None = None) -> None:
+        """Raise ValueOutOfRange unless every value is in range, naming the
+        first offending gene by its dag label, or by column without a dag.
+
+        Every statistic reads the data only through group means and Gram
+        matrices, so this one check stands for all of them.
+        """
+        col = self._out_of_range
+        if col is not None:
+            name = f"gene {dag.label_of(col)}" if dag is not None else f"column {col}"
+            raise ValueOutOfRange(
+                f"{name} holds a value out of range: NaN, infinite or "
+                f"|x| > {self._value_bound:.3g}"
+            )
+
     def reorder_columns(self, order: Sequence[int]) -> "GroupedSample":
         return GroupedSample(
             X=self.X[:, list(order)], g=self.g, n1=self.n1, n2=self.n2
@@ -182,18 +224,10 @@ class NodeFit:
         if self.dof < 1:
             raise ValueError("dof must be at least 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "q_hat": self.q_hat.tolist(),
-            "theta_hat": list(self.theta_hat),
-            "r_hat": self.r_hat,
-            "dof": self.dof,
-        }
-
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 # Dot products along the last axis; numpy < 2.0 has no ``vecdot``.
 _vecdot_stack = getattr(np, "vecdot", None) or (
     lambda a, b: np.einsum("...n,...n->...", a, b)
@@ -211,17 +245,6 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else b"\x01" in mask.tobytes()
 
 
-def _svd_coefficients(A: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
-    """Least-squares q̂ from the SVD of A, rejecting numerically rank-deficient A."""
-    n, k = A.shape
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    tol = _EPS * max(n, k) * np.linalg.norm(A, axis=0).max()
-    rank = int(np.count_nonzero(s > tol))
-    if rank < k:
-        raise RankDeficientDesign(f"parent block of node {j} has rank {rank} < {k}")
-    return Vt.T @ ((U.T @ y) / s)
-
-
 def _fit_columns(y, A, nodes):
     """OLS fits of target columns, each on its own block of k parent columns.
 
@@ -234,9 +257,12 @@ def _fit_columns(y, A, nodes):
     leading axis, ``fit_sem`` a stack of fits that share one parent count,
     and each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
-    q̂ = a·y / a·a; two or more parents go through one stacked SVD under the
-    rank rule of ``_svd_coefficients``. Fits that rule must see one at a time
-    go through ``_fit_apart``.
+    q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
+    a zero or subnormal a·a, go through one stacked SVD. A block whose
+    smallest singular value is at most eps · max(n, k) · (largest column
+    norm) is rank deficient, and its rank is the count of singular values
+    above that threshold. The values are in range (see ``GroupedSample``),
+    so the column norms behind the threshold are finite.
 
     Args:
         y: (…, n+2) target columns.
@@ -246,8 +272,8 @@ def _fit_columns(y, A, nodes):
     Returns:
         (q̂, adjusted, rss, failures): (…, k) coefficients; (…, 2)
         parent-adjusted means, group 1 then group 2; (…) residual sums of
-        squares; and {flat index: exception} for the fits that failed, whose
-        entries are NaN.
+        squares; and {flat index: RankDeficientDesign} for the fits that
+        failed, whose entries are NaN.
     """
     n, k = A.shape[-2] - 2, A.shape[-1]
     if k == 0:
@@ -257,26 +283,29 @@ def _fit_columns(y, A, nodes):
         a = A[..., :n, 0]
         aa = _vecdot(a, a)
         # The SVD rule grants rank 1 to every nonzero column (eps·n < 1), so
-        # only a zero or non-finite column needs it.
-        apart = ~((_TINY < aa) & (aa < math.inf))
-        if _any(apart):
-            return _fit_apart(y, A, nodes, apart)
-        q = (_vecdot(a, y[..., :n]) / aa)[..., None]
-        return q, *_split(y - A[..., 0] * q, n), {}
+        # only a stack holding a zero or subnormal a·a needs the SVD below.
+        if not _any(aa <= _TINY):
+            q = (_vecdot(a, y[..., :n]) / aa)[..., None]
+            return q, *_split(y - A[..., 0] * q, n), {}
     B = A[..., :n, :]
     tol = _EPS * max(n, k) * np.sqrt(np.add.reduce(B * B, axis=-2)).max(axis=-1)
-    # A NaN in one block would make the stacked SVD fail for all of them.
-    apart = ~np.isfinite(tol)
-    if _any(apart):
-        return _fit_apart(y, A, nodes, apart)
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     # Singular values come in descending order, so the last one decides.
     deficient = s[..., -1] <= tol
+    failures = {}
     if _any(deficient):
-        return _fit_apart(y, A, nodes, deficient)
+        ranks = np.count_nonzero(s > tol[..., None], axis=-1).reshape(-1)
+        nodes = np.broadcast_to(nodes, deficient.shape).reshape(-1)
+        for i in np.flatnonzero(deficient).tolist():
+            failures[i] = RankDeficientDesign(
+                f"parent block of node {nodes[i]} has rank {ranks[i]} < {k}"
+            )
+        # Dividing by NaN rather than a zero singular value makes the failed
+        # fits read NaN without a warning.
+        s[deficient] = np.nan
     c = _vecdot(np.swapaxes(U, -1, -2), y[..., None, :n]) / s
     q = _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :])
-    return q, *_split(y - (A @ q[..., None])[..., 0], n), {}
+    return q, *_split(y - (A @ q[..., None])[..., 0], n), failures
 
 
 def _split(resid, n):
@@ -287,40 +316,6 @@ def _split(resid, n):
     """
     r = resid[..., :n]
     return resid[..., n:], _vecdot(r, r)
-
-
-def _fit_apart(y, A, nodes, apart):
-    """``_fit_columns`` with the fits flagged in ``apart`` taken one at a time
-    through ``_svd_coefficients``, which raises for them or solves them; the
-    other fits stay one stack."""
-    n2, k = A.shape[-2:]
-    shape = apart.shape
-    y, A = y.reshape(-1, n2), A.reshape(-1, n2, k)
-    nodes, apart = np.reshape(nodes, -1), apart.reshape(-1)
-    m = apart.size
-    q = np.full((m, k), np.nan)
-    adjusted = np.full((m, 2), np.nan)
-    rss = np.full(m, np.nan)
-    failures = {}
-    for i in np.flatnonzero(apart):
-        try:
-            q[i] = _svd_coefficients(A[i, :-2], y[i, :-2], nodes[i])
-        except (RankDeficientDesign, np.linalg.LinAlgError) as exc:
-            failures[i] = exc
-            continue
-        adjusted[i], rss[i] = _split(y[i] - A[i] @ q[i], n2 - 2)
-    rest = np.flatnonzero(~apart)
-    if rest.size:
-        q[rest], adjusted[rest], rss[rest], failed = _fit_columns(
-            y[rest], A[rest], nodes[rest]
-        )
-        failures.update((int(rest[i]), exc) for i, exc in failed.items())
-    return (
-        q.reshape(shape + (k,)),
-        adjusted.reshape(shape + (2,)),
-        rss.reshape(shape),
-        failures,
-    )
 
 
 def _too_few_samples(n: int, k: int, j) -> InsufficientSamples:
@@ -335,11 +330,11 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     The coefficient solve uses the group-centered columns (equivalent to
     projecting out W = [1, g]). This is the one-node call of the kernel that
     ``fit_sem`` runs on whole parent-count groups, with the same routes: a
-    single parent column is a simple regression unless a·a is zero,
-    subnormal or not finite; that column, and any block of two or more
-    parents, goes through a singular value decomposition, which detects rank
-    deficiency with threshold eps · max(n, |S_j|) · (largest parent column
-    norm). Residuals are always formed explicitly, and θ̂ comes from the
+    single parent column is a simple regression unless a·a is zero or
+    subnormal; that column, and any block of two or more parents, goes
+    through a singular value decomposition, which detects rank deficiency
+    with threshold eps · max(n, |S_j|) · (largest parent column norm).
+    Residuals are always formed explicitly, and θ̂ comes from the
     cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
     Args:
@@ -352,9 +347,11 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
         that would divide by it are expected to reject that case.
 
     Raises:
+        ValueOutOfRange: some value of the sample is out of range.
         InsufficientSamples: fewer than |S_j| + 5 samples in total.
         RankDeficientDesign: collinear parent columns after centering.
     """
+    sample._check_range()
     n = sample.n
     k = len(parents)
     dof = n - k - 4
@@ -451,19 +448,6 @@ class SemEstimate:
             )
         )
 
-    def to_dict(self) -> dict:
-        triples = [
-            [int(i), int(k), float(self.Q_hat[i, k])]
-            for i, k in zip(*np.nonzero(self.Q_hat))
-        ]
-        triples.sort(key=lambda t: (t[1], t[0]))
-        return {
-            "topo_order": list(self.dag.topo_order),
-            "Q_triples": triples,
-            "R_hat": self.R_hat.tolist(),
-            "dof": None if self.dof is None else self.dof.tolist() or None,
-        }
-
 
 def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     """Fit every node of the dag and assemble the SEM estimate.
@@ -476,12 +460,15 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     fit at all.
 
     Raises:
+        ValueOutOfRange: some value of the sample is out of range; checked
+            before any node is fit.
         RankDeficientDesign, InsufficientSamples: from individual node fits.
         ZeroResidualVariance: a node fit was exact (r̂ = 0), making the
             precision matrix undefined.
     """
     if sample.p != dag.p:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
+    sample._check_range(dag)
     p, n = dag.p, sample.n
     order = list(dag.topo_order)
     # Row i holds the fit column of the node in position i.
@@ -496,7 +483,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     R = np.zeros(p)
     adjusted = np.zeros((p, 2))
     dof = np.array([n - k - 4 for k in sizes])
-    failures: dict[int, Exception] = {}
+    failures: dict[int, RankDeficientDesign] = {}
     for k, nodes in groups.items():
         nodes = np.array(nodes)
         P = np.array([parent_sets[pos] for pos in nodes], dtype=np.intp)
@@ -521,9 +508,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
             )
         else:
             exc = _too_few_samples(n, sizes[first], first)
-        if isinstance(exc, (RankDeficientDesign, InsufficientSamples)):
-            raise type(exc)(f"node {label}: {exc}") from exc
-        raise exc
+        raise type(exc)(f"node {label}: {exc}") from exc
     theta = np.column_stack((adjusted[:, 1], adjusted[:, 0] - adjusted[:, 1]))
     return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, theta_hat=theta, dof=dof)
 

@@ -83,9 +83,6 @@ class ConfounderConfig:
         if not self.c_scale > 0.0:
             raise ConfigError("/confounders/c_scale", "must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -269,7 +266,9 @@ def gen_coefficients(dag: PathwayDag, kappa: float = 1.5, seed=None) -> np.ndarr
     ‖Q‖₂ = 1/kappa (spectral norm from LAPACK's singular values).
 
     Returns the p×p strictly upper-triangular matrix in topological
-    coordinates; an edgeless dag gives the zero matrix.
+    coordinates; an edgeless dag gives the zero matrix. A kappa so small
+    that the rescaled entries overflow gives infinite entries, without a
+    warning; a replicate drawn from them fails.
     """
     rng = _as_generator(seed)
     p = dag.p
@@ -282,7 +281,8 @@ def gen_coefficients(dag: PathwayDag, kappa: float = 1.5, seed=None) -> np.ndarr
     flips = rng.integers(0, 2, size=len(support))
     for (i, k), flip in zip(support, flips):
         q0[i, k] = -1.0 if flip else 1.0
-    return q0 / (kappa * np.linalg.norm(q0, 2))
+    with np.errstate(over="ignore"):
+        return q0 / (kappa * np.linalg.norm(q0, 2))
 
 
 def gen_errors(family: str, r_values, n: int, seed=None) -> np.ndarray:
@@ -303,8 +303,10 @@ def gen_errors(family: str, r_values, n: int, seed=None) -> np.ndarray:
     if family == "gaussian":
         return rng.normal(0.0, np.sqrt(r), size=(n, p))
     if family == "uniform":
-        half = np.sqrt(3.0 * r)
-        # numpy refuses an infinite range with OverflowError.
+        # An overflow to inf is caught below: numpy refuses an infinite range
+        # with OverflowError.
+        with np.errstate(over="ignore"):
+            half = np.sqrt(3.0 * r)
         if not np.isfinite(half).all():
             raise ValueError("uniform half-width sqrt(3*r) is not finite")
         return rng.uniform(-half, half, size=(n, p))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dagtest.cli import main
+from dagtest.mean_tests import METHODS
 
 EXPRESSION = """\
 sample,GA,GB,GC,GD,GE,group
@@ -318,9 +319,9 @@ def test_cmd_batch_rejects_non_finite_expression(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
-    # 1e200 is a finite cell, but its square overflows, so every method on a
-    # pathway that holds gene A fails; the other pathway is still analyzed.
+def _overflowing_expression(path):
+    """Genes A, B, C on 12 samples, six per group; sample s4 holds 1e200 in
+    gene A. The cell is finite, but its square overflows."""
     rng = np.random.default_rng(3)
     rows = ["sample,A,B,C,group"]
     for i, vals in enumerate(rng.normal(size=(12, 3)).round(3).tolist()):
@@ -328,9 +329,29 @@ def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
         if i == 4:
             cells[0] = "1e200"
         rows.append(f"s{i},{','.join(cells)},{1 if i < 6 else 2}")
-    (tmp_path / "expr.csv").write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _assert_every_method_names_gene_a(errors):
+    """One line per method, in order, all with the same out-of-range message."""
+    assert [line.split(": ", 1)[0] for line in errors] == list(METHODS)
+    messages = {line.split(": ", 1)[1] for line in errors}
+    assert len(messages) == 1
+    assert messages.pop().startswith(
+        "gene A holds a value out of range: NaN, infinite or |x| > "
+    )
+
+
+def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
+    # Gene A as a lone root, as a child, and at the head of a chain: each
+    # pathway fails on its own with the same line for every method, naming
+    # gene A (the root cases once aborted the run with a NaN p-value); the
+    # pathway without A is still analyzed.
+    _overflowing_expression(tmp_path / "expr.csv")
     pw_dir = tmp_path / "pathways"
     pw_dir.mkdir()
+    (pw_dir / "a_alone.tsv").write_text("nodes: A\n")
+    (pw_dir / "a_child.tsv").write_text("B\tA\n")
     (pw_dir / "abc.tsv").write_text("A\tB\nB\tC\n")
     (pw_dir / "bc.tsv").write_text("B\tC\n")
     out = tmp_path / "batch.json"
@@ -348,11 +369,36 @@ def test_cmd_batch_overflowing_pathway_fails_alone(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["n_analyzed"] == 1
-    abc, bc = report["pathways"]
+    *failed, bc = report["pathways"]
     assert bc["name"] == "bc" and len(bc["results"]) == 5 and bc["errors"] == []
-    assert abc["name"] == "abc" and abc["results"] == []
-    assert "hotelling: pooled covariance is not finite" in abc["errors"]
+    assert [o["name"] for o in failed] == ["a_alone", "a_child", "abc"]
+    for outcome in failed:
+        assert outcome["results"] == []
+        _assert_every_method_names_gene_a(outcome["errors"])
     assert "abc: FAILED" in capsys.readouterr().out
+
+
+def test_cmd_test_out_of_range_root_fails_every_method(tmp_path, capsys):
+    # All methods fail, so the command exits 1 with a report, not 2.
+    _overflowing_expression(tmp_path / "expr.csv")
+    (tmp_path / "pw.tsv").write_text("nodes: A\n")
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "test",
+            "--expression",
+            str(tmp_path / "expr.csv"),
+            "--pathway",
+            str(tmp_path / "pw.tsv"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["results"] == []
+    _assert_every_method_names_gene_a(report["errors"])
+    assert "failed: hotelling: gene A" in capsys.readouterr().out
 
 
 def test_cmd_batch_unreadable_pathway_files_fail_alone(workdir, capsys):

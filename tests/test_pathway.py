@@ -1,7 +1,6 @@
 """Graph layer: ordering, cycle repair, perturbation, and edge-list parsing."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from dagtest.pathway import (
     PathwayDag,
     acyclic_reduction,
     parse_edge_document,
-    parse_edge_list,
     perturb_edges,
     topological_order,
 )
@@ -158,19 +156,6 @@ def test_from_edges_rejects_self_loop_and_range():
         PathwayDag.from_edges([(1, 1)], p=3)
     with pytest.raises(ValueError):
         PathwayDag.from_edges([(0, 3)], p=3)
-
-
-def test_json_round_trip():
-    dag = PathwayDag.from_edges(
-        [(0, 1), (1, 2)], p=3, labels=("TP53", "MDM2", "CDKN1A")
-    )
-    doc = json.loads(dag.to_json())
-    assert doc["p"] == 3
-    assert doc["labels"] == ["TP53", "MDM2", "CDKN1A"]
-    back = PathwayDag.from_json(dag.to_json())
-    assert back.edges == dag.edges
-    assert back.node_labels == dag.node_labels
-    assert back.topo_order == dag.topo_order
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +305,3 @@ def test_parse_edge_document_duplicate_edge():
 def test_parse_edge_document_keeps_cycles():
     labels, edges, _ = parse_edge_document("A\tB\nB\tA\n")
     assert edges == [(0, 1), (1, 0)]
-
-
-def test_parse_edge_list_strict():
-    dag = parse_edge_list("A\tB\nB\tC\n")
-    assert dag.node_labels == ("A", "B", "C")
-    assert dag.edges == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(CycleDetected):
-        parse_edge_list("A\tB\nB\tA\n")

@@ -5,6 +5,7 @@ failing example is reproduced by its seed and dimensions alone.
 """
 
 import string
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -157,3 +158,26 @@ def test_scaling_both_groups_keeps_statistics(design, log10_c):
         rtol=1e-9,
         atol=1e-9,
     )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(designs, st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2))
+def test_any_scale_gives_a_p_value_or_an_error_line(design, bad_cells):
+    # Column scales log-uniform over [1e-100, 1e300], some columns beyond
+    # the range every statistic can hold, plus NaN and ±inf cells.
+    rng = np.random.default_rng(design["seed"])
+    p, n1, n2 = design["p"], design["n1"], design["n2"]
+    dag = random_dag(rng, p, design["density"])
+    X = rng.normal(size=(n1 + n2, p)) * 10.0 ** rng.uniform(-100, 300, size=p)
+    for value in bad_cells:
+        X[rng.integers(n1 + n2), rng.integers(p)] = value
+    sample = GroupedSample.from_groups(X[:n1], X[n1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results, errors = run_methods(sample, dag, METHODS)
+    assert all(0.0 <= r.p_value <= 1.0 for r in results)
+    failed = [line.split(": ", 1)[0] for line in errors]
+    assert sorted([r.method for r in results] + failed) == sorted(METHODS)
+    if bad_cells:
+        assert results == []
+        assert all("out of range" in line for line in errors)

@@ -11,6 +11,7 @@ from scipy.linalg import solve_triangular
 from dagtest.errors import (
     InsufficientSamples,
     RankDeficientDesign,
+    ValueOutOfRange,
     ZeroResidualVariance,
 )
 from dagtest.pathway import PathwayDag
@@ -216,6 +217,25 @@ def test_fit_sem_column_permutation_equivariant():
     assert_allclose(node_P2, node_P1, atol=1e-10)
 
 
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf, 1.001, -1.001])
+def test_out_of_range_value_fails_every_fit_up_front(factor):
+    # Values within (float max / (16·n²·p²))^(1/4) fit; a NaN, an infinity
+    # or a value beyond it fails before any node is fit, naming the gene
+    # by its dag label, or by its column without a dag.
+    n1 = n2 = 6
+    bound = (np.finfo(float).max / (16.0 * (n1 + n2) ** 2 * 3**2)) ** 0.25
+    X = np.random.default_rng(28).normal(size=(n1 + n2, 3))
+    dag = PathwayDag.from_edges([(0, 1), (1, 2)], p=3, labels=("A", "B", "C"))
+    X[3, 1] = 0.999 * bound
+    fit_sem(GroupedSample.from_groups(X[:n1], X[n1:]), dag)
+    X[3, 1] = factor * bound
+    sample = GroupedSample.from_groups(X[:n1], X[n1:])
+    with pytest.raises(ValueOutOfRange, match=r"^gene B holds a value out of range"):
+        fit_sem(sample, dag)
+    with pytest.raises(ValueOutOfRange, match=r"^column 1 holds a value out of range"):
+        fit_node(sample, 2, [1])
+
+
 def test_fit_sem_exact_fit_raises():
     rng = np.random.default_rng(15)
     X = np.column_stack(
@@ -350,8 +370,6 @@ def _sequential_failure(sample, dag):
             nf = fit_node(topo, pos, parents)
         except (RankDeficientDesign, InsufficientSamples) as exc:
             return type(exc), f"node {label}: {exc}"
-        except np.linalg.LinAlgError as exc:
-            return type(exc), str(exc)
         if nf.r_hat == 0.0:
             return (
                 ZeroResidualVariance,
@@ -365,8 +383,8 @@ def _failing_case(rng, kinds):
 
     n1 = n2 = 5, so six parents leave no degrees of freedom. Kinds:
     "rank" (two identical parents), "samples" (six parents), "exact" (a
-    group-constant leaf), "nan" (a NaN column under two parents, so the
-    NaN sits in a block of the group of nodes with three parents).
+    group-constant leaf), "nan" (a column holding one NaN, parent of a node
+    with three parents).
     """
     n1 = n2 = 5
     base = 7
@@ -409,12 +427,21 @@ def _failing_case(rng, kinds):
     ],
 )
 def test_fit_sem_raises_the_first_failure_in_topological_order(kinds):
-    sample, dag = _failing_case(np.random.default_rng(25), kinds)
     if "nan" in kinds:
-        # The NaN block is stacked with node 3's clean three-parent block.
-        assert sum(len(s) == 3 for s in dag.parent_sets) > 1
+        # A NaN fails the sample up front, whatever fails before its node in
+        # topological order; the other kinds are then checked without it.
+        sample, dag = _failing_case(np.random.default_rng(25), kinds)
+        col = int(np.flatnonzero(np.isnan(sample.X).any(axis=0))[0])
+        with pytest.raises(ValueOutOfRange) as err:
+            fit_sem(sample, dag)
+        assert str(err.value).startswith(f"gene G{col} holds a value out of range")
+        kinds = tuple(kind for kind in kinds if kind != "nan")
+    sample, dag = _failing_case(np.random.default_rng(25), kinds)
     expected = _sequential_failure(sample, dag)
-    assert expected is not None
+    if not kinds:
+        assert expected is None
+        fit_sem(sample, dag)
+        return
     with pytest.raises(expected[0]) as err:
         fit_sem(sample, dag)
     assert str(err.value) == expected[1]
@@ -486,22 +513,6 @@ def test_sem_estimate_support_check_matches_loop_reference():
             with pytest.raises(ValueError) as err:
                 SemEstimate(Q_hat=Q, R_hat=np.ones(p), dag=dag)
             assert str(err.value) == expected, trial
-
-
-def test_sem_estimate_to_dict_layout():
-    dag = PathwayDag.from_edges([(0, 2), (1, 2)], p=3)
-    Q = np.zeros((3, 3))
-    Q[0, 2] = 0.5
-    Q[1, 2] = -0.25
-    est = SemEstimate(Q_hat=Q, R_hat=np.array([1.0, 2.0, 0.5]), dag=dag)
-    doc = est.to_dict()
-    assert doc["topo_order"] == [0, 1, 2]
-    assert doc["Q_triples"] == [[0, 2, 0.5], [1, 2, -0.25]]
-    assert doc["R_hat"] == [1.0, 2.0, 0.5]
-    assert doc["dof"] is None
-    rng = np.random.default_rng(27)
-    fitted = fit_sem(random_sample(rng, 6, 6, 3), dag)
-    assert fitted.to_dict()["dof"] == [8, 8, 6]
 
 
 # ---------------------------------------------------------------------------

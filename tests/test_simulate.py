@@ -459,8 +459,6 @@ def experiment_csv(deltas, tables) -> str:
     return csv_text(header, rows)
 
 
-# The overflowing draw warns before it raises.
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", list(grid_configs()))
 def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
