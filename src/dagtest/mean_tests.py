@@ -31,6 +31,19 @@ Baselines:
   2/(n1(n1−1))·tr(Σ₁²)^ + 2/(n2(n2−1))·tr(Σ₂²)^ + 4/(n1n2)·tr(Σ₁Σ₂)^,
   where the trace functionals use the leave-out cross-product estimators of
   the original construction; upper-tail normal p-value.
+
+Each method runs in two parts. The delta-free part reads the group-centered
+rows, which a shift of either group's mean does not move: the SEM fit for
+the t2dag pair, the dimension check and the Cholesky factor of the pooled
+covariance for Hotelling, and tr S_n with the null variance for
+Bai–Saranadasa; it also raises the method's size, rank and singularity
+errors. The per-delta part reads that state and the mean difference d:
+y = d − Q̂ᵀd and the chi² sum, Hotelling's triangular solves, and ‖d‖².
+Chen–Qin reads raw rows and its variance estimate is not shift-invariant,
+so all of its work is per-delta. ``t2dag``, ``hotelling``, ``baseline`` and
+``run_methods`` each run both parts on one sample; ``prepare_methods`` and
+``finish_methods`` expose them separately, so that a simulated replicate is
+fit once and tested under every delta of a grid.
 """
 
 from __future__ import annotations
@@ -165,25 +178,31 @@ def t2dag(
     """
     sample._check_range(dag)
     est = estimate if estimate is not None else fit_sem(sample, dag)
+    pair = _t2dag_pair(sample, dag, est)
+    return pair["t2dag_chi2"], pair["t2dag_z"]
+
+
+def _t2dag_pair(sample: GroupedSample, dag: PathwayDag, est: SemEstimate) -> dict:
     p = dag.p
     d = sample.mean_diff[list(dag.topo_order)]
     y = d - est.Q_hat.T @ d
     chi2_stat = sample.effective_n * float(np.sum(y * y / est.R_hat))
     z_stat = (chi2_stat - p) / math.sqrt(2.0 * p)
     meta = _meta(sample, dag)
-    chi2_res = _result(
-        "t2dag_chi2",
-        chi2_stat,
-        {"family": "chi_squared", "df": p, "tail": "upper"},
-        meta,
-    )
-    z_res = _result(
-        "t2dag_z",
-        z_stat,
-        {"family": "standard_normal", "tail": "two_sided"},
-        meta,
-    )
-    return chi2_res, z_res
+    return {
+        "t2dag_chi2": _result(
+            "t2dag_chi2",
+            chi2_stat,
+            {"family": "chi_squared", "df": p, "tail": "upper"},
+            meta,
+        ),
+        "t2dag_z": _result(
+            "t2dag_z",
+            z_stat,
+            {"family": "standard_normal", "tail": "two_sided"},
+            meta,
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +221,26 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
         SingularCovariance: pooled covariance not positive definite.
     """
     sample._check_range(dag)
+    return _hotelling_result(sample, dag, _hotelling_factor(sample))
+
+
+def _hotelling_factor(sample: GroupedSample):
+    """Cholesky factor of the pooled covariance (denominator n − 1)."""
     p, n = sample.p, sample.n
     if n <= p + 1:
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
     pooled = sample.gram / (n - 1)
-    diff = sample.mean_diff
     try:
-        factor = cho_factor(pooled, check_finite=False)
+        return cho_factor(pooled, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"pooled covariance is singular: {exc}") from exc
+
+
+def _hotelling_result(sample: GroupedSample, dag, factor) -> TestResult:
+    p, n = sample.p, sample.n
+    diff = sample.mean_diff
     t2 = sample.effective_n * float(diff @ cho_solve(factor, diff))
     scale = (n - p - 1) / (p * (n - 2))
     reference = {
@@ -225,21 +253,28 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
     return _result("hotelling", t2, reference, _meta(sample, dag))
 
 
-def _bai_saranadasa_statistic(sample: GroupedSample) -> float:
+def _bai_saranadasa_traces(sample: GroupedSample) -> tuple[float, float]:
+    """(tr S_n, the null standard deviation of M) from the pooled Gram."""
     n1, n2 = sample.n1, sample.n2
     n = n1 + n2 - 2
     tau = (n1 + n2) / (n1 * n2)
     pooled = sample.gram / n
     tr_s = float(np.trace(pooled))
     tr_s2 = float(np.sum(pooled * pooled))
-    m_stat = float(sample.mean_diff @ sample.mean_diff) - tau * tr_s
     b2 = n * n / ((n + 2.0) * (n - 1.0)) * (tr_s2 - tr_s * tr_s / n)
     variance = 2.0 * tau * tau * (n + 1.0) / n * b2
     if not variance > 0.0:
         raise SingularCovariance(
             "variance estimate of the mean-norm statistic is not positive"
         )
-    return m_stat / math.sqrt(variance)
+    return tr_s, math.sqrt(variance)
+
+
+def _bai_saranadasa_statistic(sample: GroupedSample, traces) -> float:
+    tr_s, sd = traces
+    tau = (sample.n1 + sample.n2) / (sample.n1 * sample.n2)
+    m_stat = float(sample.mean_diff @ sample.mean_diff) - tau * tr_s
+    return m_stat / sd
 
 
 def _within_trace(gram: np.ndarray) -> float:
@@ -300,14 +335,116 @@ def baseline(
     if which not in ("bai_saranadasa", "chen_qin"):
         raise ValueError(f"unknown baseline {which!r}")
     sample._check_range(dag)
+    state = _delta_free(which, sample, dag)
+    return _per_delta(which, state, sample, dag)[which]
+
+
+# ---------------------------------------------------------------------------
+# The two parts of each method
+# ---------------------------------------------------------------------------
+
+# Method -> the family whose two parts compute it; the t2dag pair shares one.
+_FAMILY = {
+    "t2dag_chi2": "t2dag",
+    "t2dag_z": "t2dag",
+    "hotelling": "hotelling",
+    "bai_saranadasa": "bai_saranadasa",
+    "chen_qin": "chen_qin",
+}
+
+
+def _delta_free(family: str, sample: GroupedSample, dag: PathwayDag | None):
+    """The state of one family that the group means do not enter."""
+    if family == "t2dag":
+        return fit_sem(sample, dag)
+    if family == "hotelling":
+        return _hotelling_factor(sample)
     if sample.n1 < 3 or sample.n2 < 3:
         raise InsufficientSamples("baselines need at least 3 samples per group")
-    if which == "bai_saranadasa":
-        stat = _bai_saranadasa_statistic(sample)
+    if family == "bai_saranadasa":
+        return _bai_saranadasa_traces(sample)
+    return None
+
+
+def _per_delta(
+    family: str, state, sample: GroupedSample, dag: PathwayDag | None
+) -> dict[str, TestResult]:
+    """{method: result} of one family from its state and the sample's means
+    (Chen–Qin: from the sample's rows)."""
+    if family == "t2dag":
+        return _t2dag_pair(sample, dag, state)
+    if family == "hotelling":
+        return {family: _hotelling_result(sample, dag, state)}
+    if family == "bai_saranadasa":
+        stat = _bai_saranadasa_statistic(sample, state)
     else:
         stat = _chen_qin_statistic(sample)
     reference = {"family": "standard_normal", "tail": "upper"}
-    return _result(which, stat, reference, _meta(sample, dag))
+    return {family: _result(family, stat, reference, _meta(sample, dag))}
+
+
+def prepare_methods(
+    sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
+) -> dict:
+    """The delta-free part of each named method on one sample.
+
+    Returns {family: state}, where a state is the family's delta-free work
+    (the t2dag SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa
+    traces, nothing for Chen–Qin) or the DagTestError that work raised. An
+    out-of-range sample gives every family its ValueOutOfRange.
+    """
+    for method in methods:
+        if method not in _FAMILY:
+            raise ValueError(f"unknown method {method!r}")
+    families = dict.fromkeys(_FAMILY[method] for method in methods)
+    try:
+        sample._check_range(dag)
+    except DagTestError as exc:
+        return dict.fromkeys(families, exc)
+    states = {}
+    for family in families:
+        try:
+            states[family] = _delta_free(family, sample, dag)
+        except DagTestError as exc:
+            states[family] = exc
+    return states
+
+
+def finish_methods(
+    states: Mapping, sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
+) -> tuple[list[TestResult], list[str]]:
+    """The per-delta part of each named method, as ``run_methods`` reports it.
+
+    ``states`` comes from ``prepare_methods`` on this sample, or on any
+    sample whose centered rows are this one's: a shift of a group's mean
+    moves only the means that this part reads. The range check runs on this
+    sample first; out of range, every method fails with its line.
+    """
+    try:
+        sample._check_range(dag)
+    except DagTestError as exc:
+        return [], [f"{method}: {exc}" for method in methods]
+    results: list[TestResult] = []
+    errors: list[str] = []
+    done: dict = {}
+    for method in methods:
+        family = _FAMILY[method]
+        if family not in done:
+            state = states[family]
+            try:
+                done[family] = (
+                    state
+                    if isinstance(state, DagTestError)
+                    else _per_delta(family, state, sample, dag)
+                )
+            except DagTestError as exc:
+                done[family] = exc
+        outcome = done[family]
+        if isinstance(outcome, DagTestError):
+            errors.append(f"{method}: {outcome}")
+        else:
+            results.append(outcome[method])
+    return results, errors
 
 
 def run_methods(
@@ -315,29 +452,17 @@ def run_methods(
 ) -> tuple[list[TestResult], list[str]]:
     """Run each named method on one sample, tolerating per-method failures.
 
-    ``t2dag_chi2`` and ``t2dag_z`` share one SEM fit. A method that raises a
-    DagTestError yields the line ``"{method}: {message}"`` in the errors
-    instead of a result.
+    This is ``finish_methods(prepare_methods(sample, dag, methods), ...)``:
+    each method's delta-free part, then its per-delta part, on this one
+    sample. ``t2dag_chi2`` and ``t2dag_z`` share one SEM fit. A method that
+    raises a DagTestError yields the line ``"{method}: {message}"`` in the
+    errors instead of a result.
 
     Returns:
         (results in the order of ``methods``, error lines).
     """
-    results: list[TestResult] = []
-    errors: list[str] = []
-    pair = None
-    for method in methods:
-        try:
-            if method in ("t2dag_chi2", "t2dag_z"):
-                if pair is None:
-                    pair = t2dag(sample, dag)
-                results.append(pair[0] if method == "t2dag_chi2" else pair[1])
-            elif method == "hotelling":
-                results.append(hotelling(sample, dag=dag))
-            else:
-                results.append(baseline(sample, method, dag=dag))
-        except DagTestError as exc:
-            errors.append(f"{method}: {exc}")
-    return results, errors
+    states = prepare_methods(sample, dag, methods)
+    return finish_methods(states, sample, dag, methods)
 
 
 def map_in_order(fn: Callable, items: Iterable, threads: int) -> list:

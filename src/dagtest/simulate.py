@@ -21,7 +21,7 @@ from scipy.special import betaincinv
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, map_in_order, run_methods
+from .mean_tests import METHODS, finish_methods, map_in_order, prepare_methods
 from .pathway import EdgePerturbation, PathwayDag, perturb_edges, round_half_up
 from .sem import GroupedSample
 
@@ -463,17 +463,30 @@ def _replicate_outcomes(
     configs: Sequence[SimConfig], replicate: int, methods: Sequence[str]
 ) -> list[tuple[dict, list[str]]]:
     """Per config, decisions {method: True/False/None} for one replicate
-    (None = failed) and its notes. The replicate is drawn once, from
-    configs[0], and each config applies its own delta to that draw."""
+    (None = failed) and its notes.
+
+    The replicate is drawn once, from configs[0]. A shift of group 2 moves
+    only the group means, so each method's delta-free part (the SEM fit,
+    Hotelling's factor, the Bai–Saranadasa traces) runs once, on the
+    unshifted draw; each config then applies its own delta and runs the
+    per-delta part. An unshifted draw out of range holds no usable state,
+    and each config then runs both parts on its own sample."""
     try:
         X, _true_dag, used_dag, _Q, _R = _draw(configs[0], replicate)
     except (DagTestError, ValueError) as exc:
         note = f"replicate {replicate}: {exc}"
         return [(dict.fromkeys(methods), [note]) for _ in configs]
+    unshifted = GroupedSample.from_groups(X[: configs[0].n1], X[configs[0].n1 :])
+    shared = None
+    if unshifted._out_of_range is None:
+        shared = prepare_methods(unshifted, used_dag, methods)
     outcomes = []
     for cfg in configs:
         sample, _mu2 = _shift(cfg, X)
-        results, errors = run_methods(sample, used_dag, methods)
+        states = shared if shared is not None else prepare_methods(
+            sample, used_dag, methods
+        )
+        results, errors = finish_methods(states, sample, used_dag, methods)
         decisions: dict = dict.fromkeys(methods)
         for result in results:
             decisions[result.method] = bool(result.p_value <= cfg.alpha)

@@ -9,12 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg.blas import dtrsm
 
+import dagtest.mean_tests
 import dagtest.simulate
 from dagtest.cli import main
 from dagtest.data_io import csv_text
 from dagtest.divergence import PopulationModel
 from dagtest.errors import ConfigError
-from dagtest.mean_tests import METHODS
+from dagtest.mean_tests import METHODS, finish_methods, prepare_methods, run_methods
 from dagtest.pathway import EdgePerturbation, PathwayDag, perturb_edges
 from dagtest.sem import GroupedSample
 from dagtest.simulate import (
@@ -447,6 +448,9 @@ def grid_configs() -> dict:
         "p_at_least_n": replace(base, n1=5, n2=5, p=12),
         # A valid config whose every draw fails: sqrt(3 * 1e308) overflows.
         "draw_overflows": replace(base, replicates=3, r0=1e308, error_family="uniform"),
+        # Six samples and parent sets of two or more: the SEM fit (and
+        # Hotelling) fails in every replicate, while both baselines run.
+        "fit_fails": replace(base, n1=3, n2=3, nb_success=0.1),
     }
 
 
@@ -459,6 +463,28 @@ def experiment_csv(deltas, tables) -> str:
     return csv_text(header, rows)
 
 
+def _fresh_per_delta_tables(cfg: SimConfig, deltas) -> list:
+    """The tables of a grid as gen_dataset and run_methods give them, one
+    fresh sample and one full run of every method per (replicate, delta)."""
+    tables = []
+    for delta in deltas:
+        c = replace(cfg, delta=delta)
+        outcomes = []
+        for r in range(c.replicates):
+            try:
+                sample, _true_dag, used_dag, _model = gen_dataset(c, r)
+            except ValueError as exc:
+                outcomes.append((dict.fromkeys(METHODS), [f"replicate {r}: {exc}"]))
+                continue
+            results, errors = run_methods(sample, used_dag, METHODS)
+            decisions = dict.fromkeys(METHODS)
+            for result in results:
+                decisions[result.method] = bool(result.p_value <= c.alpha)
+            outcomes.append((decisions, [f"replicate {r}, {e}" for e in errors]))
+        tables.append(dagtest.simulate._fold_table(c, METHODS, outcomes))
+    return tables
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", list(grid_configs()))
 def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
@@ -467,6 +493,11 @@ def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
     singles = [run_experiment(replace(cfg, delta=d), METHODS, threads) for d in GRID]
     assert [t.to_dict() for t in grid] == [t.to_dict() for t in singles]
     assert experiment_csv(GRID, grid) == experiment_csv(GRID, singles)
+    # The grid fits each replicate once, on its unshifted draw; the decisions,
+    # counts and notes must be those of a fresh fit of every shifted sample.
+    fresh = _fresh_per_delta_tables(cfg, GRID)
+    assert [t.to_dict() for t in grid] == [t.to_dict() for t in fresh]
+    assert experiment_csv(GRID, grid) == experiment_csv(GRID, fresh)
     if name == "draw_overflows":
         for table in grid:
             assert all(row.n_failed == 3 for row in table.rows)
@@ -477,6 +508,68 @@ def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
     if name == "p_at_least_n":
         hotelling = [row for row in grid[0].rows if row.method == "hotelling"]
         assert hotelling[0].n_failed == cfg.replicates
+    if name == "fit_fails":
+        for table in grid:
+            failed = {row.method: row.n_failed for row in table.rows}
+            assert failed == {
+                "t2dag_chi2": cfg.replicates,
+                "t2dag_z": cfg.replicates,
+                "hotelling": cfg.replicates,
+                "bai_saranadasa": 0,
+                "chen_qin": 0,
+            }
+
+
+def test_unshifted_draw_out_of_range_runs_each_delta_alone(monkeypatch):
+    # Group 2's shifted columns hold 1e80, out of range, until a delta of
+    # -1e80 brings them to 0: only then does a sample get results, so the
+    # unshifted draw can hold no state for the grid.
+    real = dagtest.simulate._draw
+
+    def draw(cfg, replicate):
+        X, *rest = real(cfg, replicate)
+        X[cfg.n1 :, : cfg.q] = 1e80
+        return (X, *rest)
+
+    monkeypatch.setattr(dagtest.simulate, "_draw", draw)
+    cfg = replace(grid_configs()["default"], replicates=3)
+    deltas = (0.0, -1e80)
+    grid = run_delta_grid(cfg, deltas, METHODS)
+    assert [t.to_dict() for t in grid] == [
+        t.to_dict() for t in _fresh_per_delta_tables(cfg, deltas)
+    ]
+    assert all(row.n_failed == 3 for row in grid[0].rows)
+    assert "out of range" in grid[0].failure_notes[0]
+    assert any(row.n_total == 3 for row in grid[1].rows)
+
+
+@pytest.mark.parametrize("name", [n for n in grid_configs() if n != "draw_overflows"])
+def test_shared_state_statistics_match_a_fresh_fit(name):
+    # At delta = 0 the shared state's sample is the tested one: every
+    # statistic is bit-identical. At delta != 0 the centered rows of the
+    # shifted sample differ from the unshifted ones in the last bits only.
+    cfg = grid_configs()[name]
+    for r in range(cfg.replicates):
+        unshifted, _true_dag, used_dag, _model = gen_dataset(cfg, r)
+        states = prepare_methods(unshifted, used_dag, METHODS)
+        for delta in GRID:
+            sample = gen_dataset(replace(cfg, delta=delta), r)[0]
+            got, got_errors = finish_methods(states, sample, used_dag, METHODS)
+            want, want_errors = run_methods(sample, used_dag, METHODS)
+            assert got_errors == want_errors
+            assert [g.method for g in got] == [w.method for w in want]
+            by_method = {w.method: w for w in want}
+            for g in got:
+                w = by_method[g.method]
+                assert g.to_dict()["reference"] == w.to_dict()["reference"]
+                if delta == 0.0 or g.method == "chen_qin":
+                    assert g.statistic == w.statistic, (g.method, delta)
+                elif g.method == "t2dag_z":
+                    chi2 = by_method["t2dag_chi2"].statistic
+                    tol = 1e-12 * chi2 / math.sqrt(2 * cfg.p)
+                    assert abs(g.statistic - w.statistic) <= tol
+                else:
+                    assert_allclose(g.statistic, w.statistic, rtol=1e-12, atol=0)
 
 
 def test_run_delta_grid_rejects_an_empty_grid():
@@ -534,6 +627,24 @@ def test_run_delta_grid_draws_each_replicate_once(adjacency_calls):
     tables = run_delta_grid(cfg, GRID, ("t2dag_chi2",), threads=2)
     assert len(tables) == len(GRID)
     assert len(adjacency_calls) == cfg.replicates
+
+
+def test_run_delta_grid_fits_each_replicate_once(monkeypatch):
+    # One SEM fit and one Cholesky factor per replicate, not per delta.
+    calls = {"fit_sem": 0, "cho_factor": 0}
+    for name in calls:
+        real = getattr(dagtest.mean_tests, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(dagtest.mean_tests, name, counted)
+    cfg = SimConfig(n1=10, n2=10, p=6, replicates=4, seed=2)
+    tables = run_delta_grid(cfg, GRID, METHODS, threads=2)
+    assert len(GRID) == 3
+    assert all(row.n_total == cfg.replicates for t in tables for row in t.rows)
+    assert calls == {"fit_sem": cfg.replicates, "cho_factor": cfg.replicates}
 
 
 def test_cmd_simulate_draws_each_replicate_once(tmp_path, adjacency_calls):
