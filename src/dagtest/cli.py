@@ -271,6 +271,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(
                 "/delta_grid", "must be a nonempty array of finite numbers"
             )
+        if delta_grid is not None and "delta" in doc:
+            raise ConfigError("/delta", "must not be set together with delta_grid")
         cfg = SimConfig.from_dict(doc)
         deltas = (
             [float(d) for d in delta_grid]

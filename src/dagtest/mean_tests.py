@@ -43,7 +43,8 @@ Chen–Qin reads raw rows and its variance estimate is not shift-invariant,
 so all of its work is per-delta. ``t2dag``, ``hotelling``, ``baseline`` and
 ``run_methods`` each run both parts on one sample; ``prepare_methods`` and
 ``finish_methods`` expose them separately, so that a simulated replicate is
-fit once and tested under every delta of a grid.
+fit once, on the first of its grid's samples that is in range, and tested
+under every delta of the grid.
 """
 
 from __future__ import annotations
@@ -385,24 +386,21 @@ def _per_delta(
 
 def prepare_methods(
     sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
-) -> dict:
+) -> dict | None:
     """The delta-free part of each named method on one sample.
 
     Returns {family: state}, where a state is the family's delta-free work
     (the t2dag SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa
-    traces, nothing for Chen–Qin) or the DagTestError that work raised. An
-    out-of-range sample gives every family its ValueOutOfRange.
+    traces, nothing for Chen–Qin) or the DagTestError that work raised; or
+    None for an out-of-range sample, which holds no usable state.
     """
     for method in methods:
         if method not in _FAMILY:
             raise ValueError(f"unknown method {method!r}")
-    families = dict.fromkeys(_FAMILY[method] for method in methods)
-    try:
-        sample._check_range(dag)
-    except DagTestError as exc:
-        return dict.fromkeys(families, exc)
+    if sample._out_of_range is not None:
+        return None
     states = {}
-    for family in families:
+    for family in dict.fromkeys(_FAMILY[method] for method in methods):
         try:
             states[family] = _delta_free(family, sample, dag)
         except DagTestError as exc:
@@ -411,14 +409,16 @@ def prepare_methods(
 
 
 def finish_methods(
-    states: Mapping, sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
+    states: Mapping | None, sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
 ) -> tuple[list[TestResult], list[str]]:
     """The per-delta part of each named method, as ``run_methods`` reports it.
 
-    ``states`` comes from ``prepare_methods`` on this sample, or on any
-    sample whose centered rows are this one's: a shift of a group's mean
-    moves only the means that this part reads. The range check runs on this
-    sample first; out of range, every method fails with its line.
+    The range check runs on this sample first, before ``states`` is read:
+    out of range, every method fails with its line, and ``states`` may be
+    None. In range, ``states`` comes from ``prepare_methods`` on this sample,
+    or on another in-range sample that differs from it only by a shift of a
+    group's mean: such a shift moves only the means that this part reads,
+    and the centered rows behind the states in their last bits.
     """
     try:
         sample._check_range(dag)

@@ -286,19 +286,13 @@ class EdgePerturbation:
     def __post_init__(self):
         if self.mode not in ("none", "missing", "redundant"):
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if not (0.0 <= self.fraction < 1.0):
+        if not (isinstance(self.fraction, (int, float)) and 0.0 <= self.fraction < 1.0):
             raise ValueError("fraction must lie in [0, 1)")
+        # A JSON config may give an integer; reports echo it as a float.
+        object.__setattr__(self, "fraction", float(self.fraction))
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "EdgePerturbation":
-        return cls(
-            mode=doc.get("mode", "none"),
-            fraction=float(doc.get("fraction", 0.0)),
-            seed=doc.get("seed"),
-        )
 
 
 def perturb_edges(

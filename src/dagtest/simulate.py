@@ -71,7 +71,7 @@ class ConfounderConfig:
     c_scale: float = math.sqrt(0.2)
 
     def __post_init__(self):
-        if self.count < 1:
+        if not (isinstance(self.count, int) and self.count >= 1):
             raise ConfigError("/confounders/count", "must be a positive integer")
         if self.sigma_w_rule != "inverse_max_abs_q":
             raise ConfigError(
@@ -170,6 +170,12 @@ class SimConfig:
             "nonnegative integer required",
         )
         need(0.0 < self.alpha < 1.0, "/alpha", "must lie in (0, 1)")
+        seed = self.perturbation.seed
+        need(
+            seed is None or (isinstance(seed, int) and seed >= 0),
+            "/perturbation/seed",
+            "null or nonnegative integer required",
+        )
 
     @property
     def n_children(self) -> int:
@@ -190,25 +196,33 @@ class SimConfig:
             if key not in known:
                 raise ConfigError(f"/{key}", "unknown field")
         kwargs = dict(doc)
-        conf = kwargs.get("confounders")
-        if conf is not None:
-            conf_known = {f.name for f in fields(ConfounderConfig)}
-            for key in conf:
-                if key not in conf_known:
-                    raise ConfigError(f"/confounders/{key}", "unknown field")
-            kwargs["confounders"] = ConfounderConfig(**conf)
-        pert = kwargs.get("perturbation")
-        if pert is not None:
-            try:
-                kwargs["perturbation"] = EdgePerturbation.from_dict(pert)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError("/perturbation", str(exc)) from exc
-        elif "perturbation" in kwargs:
+        for key, section in (
+            ("confounders", ConfounderConfig),
+            ("perturbation", EdgePerturbation),
+        ):
+            if kwargs.get(key) is not None:
+                kwargs[key] = _section_from_dict(section, kwargs[key], f"/{key}")
+        if "perturbation" in kwargs and kwargs["perturbation"] is None:
             del kwargs["perturbation"]
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError("/", str(exc)) from exc
+
+
+def _section_from_dict(cls, doc, path: str):
+    """The nested config ``cls`` at ``path``, built from a JSON object whose
+    keys are all fields of ``cls``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(path, "must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}/{key}", "unknown field")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +400,13 @@ def _draw(
     return X, true_dag, used_dag, Q, R
 
 
-def _shift(cfg: SimConfig, X: np.ndarray) -> tuple[GroupedSample, np.ndarray]:
+def _shift(
+    cfg: SimConfig, X: np.ndarray, delta: float
+) -> tuple[GroupedSample, np.ndarray]:
     """The sample with group 2's rows of X shifted by μ2, and μ2 itself:
     delta on the first q coordinates, 0 elsewhere. X is left as it is."""
     mu2 = np.zeros(cfg.p)
-    mu2[: cfg.q] = cfg.delta
+    mu2[: cfg.q] = delta
     return GroupedSample.from_groups(X[: cfg.n1], X[cfg.n1 :] + mu2), mu2
 
 
@@ -408,7 +424,7 @@ def gen_dataset(
     coefficients and noise.
     """
     X, true_dag, used_dag, Q, R = _draw(cfg, replicate)
-    sample, mu2 = _shift(cfg, X)
+    sample, mu2 = _shift(cfg, X, cfg.delta)
     model = PopulationModel(mu1=np.zeros(cfg.p), mu2=mu2, Q=Q, R=R)
     return sample, true_dag, used_dag, model
 
@@ -460,32 +476,27 @@ def _clopper_pearson(k: int, n: int, level: float = 0.95) -> tuple[float, float]
 
 
 def _replicate_outcomes(
-    configs: Sequence[SimConfig], replicate: int, methods: Sequence[str]
+    cfg: SimConfig, deltas: Sequence[float], replicate: int, methods: Sequence[str]
 ) -> list[tuple[dict, list[str]]]:
-    """Per config, decisions {method: True/False/None} for one replicate
+    """Per delta, decisions {method: True/False/None} for one replicate
     (None = failed) and its notes.
 
-    The replicate is drawn once, from configs[0]. A shift of group 2 moves
-    only the group means, so each method's delta-free part (the SEM fit,
-    Hotelling's factor, the Bai–Saranadasa traces) runs once, on the
-    unshifted draw; each config then applies its own delta and runs the
-    per-delta part. An unshifted draw out of range holds no usable state,
-    and each config then runs both parts on its own sample."""
+    The replicate is drawn once. A shift of group 2 moves only the group
+    means, so each method's delta-free part (the SEM fit, Hotelling's
+    factor, the Bai–Saranadasa traces) runs once, on the first delta's
+    sample that is in range, and the per-delta part on every delta's
+    sample."""
     try:
-        X, _true_dag, used_dag, _Q, _R = _draw(configs[0], replicate)
+        X, _true_dag, used_dag, _Q, _R = _draw(cfg, replicate)
     except (DagTestError, ValueError) as exc:
         note = f"replicate {replicate}: {exc}"
-        return [(dict.fromkeys(methods), [note]) for _ in configs]
-    unshifted = GroupedSample.from_groups(X[: configs[0].n1], X[configs[0].n1 :])
-    shared = None
-    if unshifted._out_of_range is None:
-        shared = prepare_methods(unshifted, used_dag, methods)
+        return [(dict.fromkeys(methods), [note]) for _ in deltas]
+    states = None
     outcomes = []
-    for cfg in configs:
-        sample, _mu2 = _shift(cfg, X)
-        states = shared if shared is not None else prepare_methods(
-            sample, used_dag, methods
-        )
+    for delta in deltas:
+        sample, _mu2 = _shift(cfg, X, delta)
+        if states is None:
+            states = prepare_methods(sample, used_dag, methods)
         results, errors = finish_methods(states, sample, used_dag, methods)
         decisions: dict = dict.fromkeys(methods)
         for result in results:
@@ -534,12 +545,19 @@ def _fold_table(
     return ExperimentTable(config=cfg, rows=tuple(rows), failure_notes=tuple(notes))
 
 
-def _tables(
-    configs: Sequence[SimConfig], methods: Sequence[str], threads: int
+def run_delta_grid(
+    cfg: SimConfig, deltas: Sequence[float], methods: Sequence[str], threads: int = 1
 ) -> list[ExperimentTable]:
-    """One table per config, for configs that differ only in delta: each
-    replicate is drawn once, from configs[0], and tested under every config.
-    Configs are used as given, not validated again."""
+    """One table per delta, for the config ``replace(cfg, delta=d)``.
+
+    Nothing a replicate draws depends on delta, so every delta sees the same
+    graphs, coefficients and noise: each replicate is drawn once for the
+    whole grid. Each method's delta-free part is fit once per replicate, on
+    the first of its samples that is in range. That delta's table is the one
+    ``gen_dataset`` and ``run_methods`` give; another delta's statistics may
+    differ from a fresh fit of its own sample in the last bits (README).
+    """
+    configs = [replace(cfg, delta=d) for d in deltas]
     methods = tuple(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
@@ -551,27 +569,14 @@ def _tables(
     if not configs:
         raise ValueError("deltas must be nonempty")
     per_replicate = map_in_order(
-        lambda r: _replicate_outcomes(configs, r, methods),
-        range(configs[0].replicates),
+        lambda r: _replicate_outcomes(cfg, deltas, r, methods),
+        range(cfg.replicates),
         threads,
     )
     return [
-        _fold_table(cfg, methods, outcomes)
-        for cfg, outcomes in zip(configs, zip(*per_replicate))
+        _fold_table(c, methods, outcomes)
+        for c, outcomes in zip(configs, zip(*per_replicate))
     ]
-
-
-def run_delta_grid(
-    cfg: SimConfig, deltas: Sequence[float], methods: Sequence[str], threads: int = 1
-) -> list[ExperimentTable]:
-    """One table per delta, each equal to
-    ``run_experiment(replace(cfg, delta=d), methods, threads)``.
-
-    Nothing a replicate draws depends on delta, so every delta sees the same
-    graphs, coefficients and noise; each replicate is drawn once for the
-    whole grid rather than once per delta.
-    """
-    return _tables([replace(cfg, delta=d) for d in deltas], methods, threads)
 
 
 def run_experiment(
@@ -585,4 +590,4 @@ def run_experiment(
     streams and the tally is folded in replicate order, so any ``threads``
     setting produces the identical table.
     """
-    return _tables([cfg], methods, threads)[0]
+    return run_delta_grid(cfg, [cfg.delta], methods, threads)[0]

@@ -562,6 +562,25 @@ def test_cmd_simulate_reports_config_errors(tmp_path, capsys):
     assert "config error at /r0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"perturbation": {"fractoin": 0.5}}, "/perturbation/fractoin"),
+        ({"perturbation": 5}, "/perturbation"),
+        ({"confounders": 5}, "/confounders"),
+        ({"perturbation": {"mode": "missing", "seed": "abc"}}, "/perturbation/seed"),
+        ({"confounders": {"count": 1.5}}, "/confounders/count"),
+        # delta_grid replaces delta; both set is ambiguous.
+        ({"delta": 0.1}, "/delta"),
+    ],
+)
+def test_cmd_simulate_config_errors_exit_2(tmp_path, capsys, patch, path):
+    code, out_dir = run_simulate(tmp_path, {**SIM_CONFIG, **patch}, "bad")
+    assert code == 2
+    assert f"error: config error at {path}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cmd_simulate_custom_methods(tmp_path):
     config = dict(SIM_CONFIG)
     config.pop("delta_grid")

@@ -565,6 +565,25 @@ def test_run_methods_dispatches_each_method_once(monkeypatch):
     assert by_method["t2dag_z"].statistic == z_res.statistic
 
 
+def test_out_of_range_sample_prepares_no_state():
+    # prepare_methods holds nothing for an out-of-range sample; finish_methods
+    # checks the range before it reads the state, so None gives one range
+    # line per method, the lines run_methods reports.
+    rng = np.random.default_rng(6)
+    sample = random_sample(rng, 6, 6, 4)
+    sample.X[7, 2] = np.inf
+    dag = chain_dag(4)
+    assert mean_tests.prepare_methods(sample, dag, METHODS) is None
+    results, errors = mean_tests.finish_methods(None, sample, dag, METHODS)
+    assert results == []
+    assert errors == [
+        f"{method}: gene 2 holds a value out of range: NaN, infinite or "
+        f"|x| > {sample._value_bound:.3g}"
+        for method in METHODS
+    ]
+    assert mean_tests.run_methods(sample, dag, METHODS) == (results, errors)
+
+
 def test_methods_tuple_is_stable():
     assert METHODS == (
         "t2dag_chi2",

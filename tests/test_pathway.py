@@ -260,9 +260,9 @@ def test_perturbation_validation():
         EdgePerturbation("typo", 0.1)
     with pytest.raises(ValueError):
         EdgePerturbation("missing", 1.0)
-    back = EdgePerturbation.from_dict(
-        EdgePerturbation("redundant", 0.4, seed=3).to_dict()
-    )
+    with pytest.raises(ValueError):
+        EdgePerturbation("missing", "0.1")
+    back = EdgePerturbation(**EdgePerturbation("redundant", 0.4, seed=3).to_dict())
     assert back == EdgePerturbation("redundant", 0.4, seed=3)
 
 

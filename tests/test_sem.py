@@ -14,6 +14,7 @@ from dagtest.errors import (
     ValueOutOfRange,
     ZeroResidualVariance,
 )
+from dagtest.mean_tests import METHODS, run_methods
 from dagtest.pathway import PathwayDag
 from dagtest.sem import (
     GroupedSample,
@@ -154,6 +155,29 @@ def test_fit_node_rank_deficient():
     sample = GroupedSample.from_groups(X[:6], X[6:])
     with pytest.raises(RankDeficientDesign):
         fit_node(sample, 2, parents=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "parents, rank", [((1,), "rank 0 < 1"), ((1, 2), "rank 1 < 2")]
+)
+def test_subnormal_parent_column_is_rank_deficient(parents, rank):
+    # Column 1 at scale 1e-312 is in range, but its B·B sums underflow to 0:
+    # the rank threshold is floored at the smallest normal float, so its
+    # subnormal singular value marks the block deficient instead of
+    # overflowing the solve (a RuntimeWarning fails the suite).
+    X = np.random.default_rng(3).normal(size=(20, 3))
+    X[:, 1] *= 1e-312
+    sample = GroupedSample.from_groups(X[:10], X[10:])
+    with pytest.raises(RankDeficientDesign, match=rank):
+        fit_node(sample, 0, parents)
+    dag = PathwayDag.from_edges([(i, 0) for i in parents], p=3)
+    results, errors = run_methods(sample, dag, METHODS)
+    assert [r.method for r in results] == ["bai_saranadasa", "chen_qin"]
+    assert [line.split(":")[0] for line in errors] == [
+        "t2dag_chi2",
+        "t2dag_z",
+        "hotelling",
+    ]
 
 
 def test_fit_node_insufficient_samples():

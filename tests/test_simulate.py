@@ -302,6 +302,12 @@ def test_sim_config_dict_round_trip():
         ({"seed": -1}, "/seed"),
         ({"kappa": math.inf}, "/kappa"),
         ({"r0": math.inf}, "/r0"),
+        ({"perturbation": 5}, "/perturbation"),
+        ({"confounders": 5}, "/confounders"),
+        ({"perturbation": {"mode": "missing", "seed": "abc"}}, "/perturbation/seed"),
+        ({"perturbation": {"mode": "missing", "seed": -1}}, "/perturbation/seed"),
+        ({"perturbation": {"mode": "missing", "fraction": "x"}}, "/perturbation"),
+        ({"confounders": {"count": 1.5}}, "/confounders/count"),
     ],
 )
 def test_sim_config_validation_paths(patch, path):
@@ -323,6 +329,11 @@ def test_sim_config_unknown_keys():
     with pytest.raises(ConfigError) as err:
         SimConfig.from_dict(doc)
     assert err.value.path == "/confounders/spread"
+    doc = SimConfig(n1=10, n2=10, p=10).to_dict()
+    doc["perturbation"] = {"mode": "missing", "fractoin": 0.5}
+    with pytest.raises(ConfigError) as err:
+        SimConfig.from_dict(doc)
+    assert err.value.path == "/perturbation/fractoin"
 
 
 def test_sim_config_q_counts():
@@ -381,12 +392,10 @@ def test_run_experiment_counts_method_failures():
 
 
 def test_run_experiment_non_finite_replicates_fail_per_replicate():
-    # The config rejects an infinite residual variance; one forced past that
-    # check makes every replicate's noise non-finite, and the generator's own
-    # check still fails each replicate with a note while the experiment
-    # completes.
-    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3)
-    object.__setattr__(cfg, "r0", math.inf)
+    # A valid, subnormal kappa makes every replicate's rescaled coefficients
+    # overflow: the generator's own check fails each replicate with a note
+    # while the experiment completes.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3, kappa=1e-320)
     table = run_experiment(cfg, methods=("t2dag_chi2", "chen_qin"))
     assert all(row.n_total == 0 and row.n_failed == 3 for row in table.rows)
     assert table.failure_notes == tuple(
@@ -493,8 +502,9 @@ def test_run_delta_grid_equals_one_experiment_per_delta(name, threads):
     singles = [run_experiment(replace(cfg, delta=d), METHODS, threads) for d in GRID]
     assert [t.to_dict() for t in grid] == [t.to_dict() for t in singles]
     assert experiment_csv(GRID, grid) == experiment_csv(GRID, singles)
-    # The grid fits each replicate once, on its unshifted draw; the decisions,
-    # counts and notes must be those of a fresh fit of every shifted sample.
+    # The grid fits each replicate once, on its first in-range sample; the
+    # decisions, counts and notes must be those of a fresh fit of every
+    # shifted sample.
     fresh = _fresh_per_delta_tables(cfg, GRID)
     assert [t.to_dict() for t in grid] == [t.to_dict() for t in fresh]
     assert experiment_csv(GRID, grid) == experiment_csv(GRID, fresh)
@@ -579,14 +589,11 @@ def test_run_delta_grid_rejects_an_empty_grid():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_forced_non_finite_draw_fails_in_every_table(threads):
-    # run_delta_grid validates each replace(cfg, delta=d), which refuses a
-    # forced r0 = inf, so the grid goes to the shared implementation directly.
-    configs = [
-        _forced_infinite_r0(SimConfig(n1=10, n2=10, p=5, replicates=3, delta=d))
-        for d in GRID
-    ]
-    grid = dagtest.simulate._tables(configs, METHODS, threads)
-    singles = [run_experiment(cfg, METHODS, threads) for cfg in configs]
+    # kappa = 1e-320 passes the config check and forces infinite
+    # coefficients, so every replicate's draw fails under every delta.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3, kappa=1e-320)
+    grid = run_delta_grid(cfg, GRID, METHODS, threads)
+    singles = [run_experiment(replace(cfg, delta=d), METHODS, threads) for d in GRID]
     assert [t.to_dict() for t in grid] == [t.to_dict() for t in singles]
     assert experiment_csv(GRID, grid) == experiment_csv(GRID, singles)
     for table in grid:
@@ -645,6 +652,41 @@ def test_run_delta_grid_fits_each_replicate_once(monkeypatch):
     assert len(GRID) == 3
     assert all(row.n_total == cfg.replicates for t in tables for row in t.rows)
     assert calls == {"fit_sem": cfg.replicates, "cho_factor": cfg.replicates}
+
+
+def test_grid_starting_off_zero_fits_each_replicate_once(monkeypatch):
+    # The state comes from the grid's first sample, here a shifted one: one
+    # SEM fit per replicate, the statistics of a fresh fit at that delta bit
+    # for bit, and the tables of a fresh fit per delta.
+    fits, finished = [], []
+    real_fit = dagtest.mean_tests.fit_sem
+    real_finish = dagtest.simulate.finish_methods
+
+    def fit(*args):
+        fits.append(args)
+        return real_fit(*args)
+
+    def finish(*args):
+        finished.append(real_finish(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(dagtest.mean_tests, "fit_sem", fit)
+    monkeypatch.setattr(dagtest.simulate, "finish_methods", finish)
+    cfg = grid_configs()["confounders"]
+    deltas = (0.3, 0.0, -1.0)
+    grid = run_delta_grid(cfg, deltas, METHODS)
+    monkeypatch.undo()
+    assert len(fits) == cfg.replicates
+    assert len(finished) == cfg.replicates * len(deltas)
+    for r in range(cfg.replicates):
+        sample, _true_dag, used_dag, _model = gen_dataset(replace(cfg, delta=0.3), r)
+        results, errors = run_methods(sample, used_dag, METHODS)
+        got_results, got_errors = finished[r * len(deltas)]
+        assert [g.statistic for g in got_results] == [w.statistic for w in results]
+        assert got_errors == errors
+    fresh = _fresh_per_delta_tables(cfg, deltas)
+    assert [t.to_dict() for t in grid] == [t.to_dict() for t in fresh]
+    assert experiment_csv(deltas, grid) == experiment_csv(deltas, fresh)
 
 
 def test_cmd_simulate_draws_each_replicate_once(tmp_path, adjacency_calls):
