@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
             not isinstance(delta_grid, list)
             or not delta_grid
             or not all(
-                isinstance(d, (int, float)) and math.isfinite(d)
+                type(d) in (int, float) and math.isfinite(d)
                 for d in delta_grid
             )
         ):

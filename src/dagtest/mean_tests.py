@@ -32,19 +32,16 @@ Baselines:
   where the trace functionals use the leave-out cross-product estimators of
   the original construction; upper-tail normal p-value.
 
-Each method runs in two parts. The delta-free part reads the group-centered
-rows, which a shift of either group's mean does not move: the SEM fit for
-the t2dag pair, the dimension check and the Cholesky factor of the pooled
-covariance for Hotelling, and tr S_n with the null variance for
-Bai–Saranadasa; it also raises the method's size, rank and singularity
-errors. The per-delta part reads that state and the mean difference d:
-y = d − Q̂ᵀd and the chi² sum, Hotelling's triangular solves, and ‖d‖².
-Chen–Qin reads raw rows and its variance estimate is not shift-invariant,
-so all of its work is per-delta. ``t2dag``, ``hotelling``, ``baseline`` and
-``run_methods`` each run both parts on one sample; ``prepare_methods`` and
-``finish_methods`` expose them separately, so that a simulated replicate is
-fit once, on the first of its grid's samples that is in range, and tested
-under every delta of the grid.
+Each method belongs to one family of the table ``_FAMILIES`` (the t2dag
+pair shares one), and each family runs in two parts. The delta-free part
+reads the group-centered rows, which a shift of either group's mean does not
+move (the SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa traces),
+and raises the family's size, rank and singularity errors. The per-delta
+part reads that state and the mean difference d; Chen–Qin's variance
+estimate is not shift-invariant, so all of its work is per-delta. ``t2dag``,
+``hotelling`` and ``baseline`` each run one family's two parts on one sample
+after one range check; ``prepare_methods`` and ``finish_methods`` run them
+apart, so that a simulated replicate is fit once for its whole delta grid.
 """
 
 from __future__ import annotations
@@ -67,8 +64,6 @@ from .errors import (
 )
 from .pathway import PathwayDag
 from .sem import GroupedSample, SemEstimate, fit_sem
-
-METHODS = ("t2dag_chi2", "t2dag_z", "hotelling", "bai_saranadasa", "chen_qin")
 
 
 def reference_p_value(statistic: float, reference: Mapping) -> float:
@@ -177,32 +172,22 @@ def t2dag(
     Raises:
         ValueOutOfRange: some value of the sample is out of range.
     """
-    sample._check_range(dag)
-    est = estimate if estimate is not None else fit_sem(sample, dag)
-    pair = _t2dag_pair(sample, dag, est)
+    pair = _run("t2dag", sample, dag, estimate)
     return pair["t2dag_chi2"], pair["t2dag_z"]
 
 
-def _t2dag_pair(sample: GroupedSample, dag: PathwayDag, est: SemEstimate) -> dict:
+def _t2dag_pair(est: SemEstimate, sample: GroupedSample, dag: PathwayDag) -> dict:
     p = dag.p
     d = sample.mean_diff[list(dag.topo_order)]
     y = d - est.Q_hat.T @ d
     chi2_stat = sample.effective_n * float(np.sum(y * y / est.R_hat))
     z_stat = (chi2_stat - p) / math.sqrt(2.0 * p)
     meta = _meta(sample, dag)
+    chi2_reference = {"family": "chi_squared", "df": p, "tail": "upper"}
+    z_reference = {"family": "standard_normal", "tail": "two_sided"}
     return {
-        "t2dag_chi2": _result(
-            "t2dag_chi2",
-            chi2_stat,
-            {"family": "chi_squared", "df": p, "tail": "upper"},
-            meta,
-        ),
-        "t2dag_z": _result(
-            "t2dag_z",
-            z_stat,
-            {"family": "standard_normal", "tail": "two_sided"},
-            meta,
-        ),
+        "t2dag_chi2": _result("t2dag_chi2", chi2_stat, chi2_reference, meta),
+        "t2dag_z": _result("t2dag_z", z_stat, z_reference, meta),
     }
 
 
@@ -221,11 +206,10 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
         DimensionTooLarge: unless n1+n2 > p+1.
         SingularCovariance: pooled covariance not positive definite.
     """
-    sample._check_range(dag)
-    return _hotelling_result(sample, dag, _hotelling_factor(sample))
+    return _run("hotelling", sample, dag)["hotelling"]
 
 
-def _hotelling_factor(sample: GroupedSample):
+def _hotelling_factor(sample: GroupedSample, dag):
     """Cholesky factor of the pooled covariance (denominator n − 1)."""
     p, n = sample.p, sample.n
     if n <= p + 1:
@@ -239,7 +223,7 @@ def _hotelling_factor(sample: GroupedSample):
         raise SingularCovariance(f"pooled covariance is singular: {exc}") from exc
 
 
-def _hotelling_result(sample: GroupedSample, dag, factor) -> TestResult:
+def _hotelling_result(factor, sample: GroupedSample, dag) -> dict:
     p, n = sample.p, sample.n
     diff = sample.mean_diff
     t2 = sample.effective_n * float(diff @ cho_solve(factor, diff))
@@ -251,11 +235,22 @@ def _hotelling_result(sample: GroupedSample, dag, factor) -> TestResult:
         "scale": scale,
         "tail": "upper",
     }
-    return _result("hotelling", t2, reference, _meta(sample, dag))
+    return {"hotelling": _result("hotelling", t2, reference, _meta(sample, dag))}
 
 
-def _bai_saranadasa_traces(sample: GroupedSample) -> tuple[float, float]:
+def _upper_normal(method: str, statistic: float, sample: GroupedSample, dag) -> dict:
+    reference = {"family": "standard_normal", "tail": "upper"}
+    return {method: _result(method, statistic, reference, _meta(sample, dag))}
+
+
+def _check_group_sizes(sample: GroupedSample, dag=None) -> None:
+    if sample.n1 < 3 or sample.n2 < 3:
+        raise InsufficientSamples("baselines need at least 3 samples per group")
+
+
+def _bai_saranadasa_traces(sample: GroupedSample, dag) -> tuple[float, float]:
     """(tr S_n, the null standard deviation of M) from the pooled Gram."""
+    _check_group_sizes(sample)
     n1, n2 = sample.n1, sample.n2
     n = n1 + n2 - 2
     tau = (n1 + n2) / (n1 * n2)
@@ -271,11 +266,11 @@ def _bai_saranadasa_traces(sample: GroupedSample) -> tuple[float, float]:
     return tr_s, math.sqrt(variance)
 
 
-def _bai_saranadasa_statistic(sample: GroupedSample, traces) -> float:
+def _bai_saranadasa_result(traces, sample: GroupedSample, dag) -> dict:
     tr_s, sd = traces
     tau = (sample.n1 + sample.n2) / (sample.n1 * sample.n2)
     m_stat = float(sample.mean_diff @ sample.mean_diff) - tau * tr_s
-    return m_stat / sd
+    return _upper_normal("bai_saranadasa", m_stat / sd, sample, dag)
 
 
 def _within_trace(gram: np.ndarray) -> float:
@@ -295,7 +290,7 @@ def _cross_trace(cross: np.ndarray) -> float:
     return float(np.sum(left * right)) / (n1 * n2)
 
 
-def _chen_qin_statistic(sample: GroupedSample) -> float:
+def _chen_qin_result(_state, sample: GroupedSample, dag) -> dict:
     X1, X2 = sample.X[: sample.n1], sample.X[sample.n1 :]
     n1, n2 = sample.n1, sample.n2
     g1 = X1 @ X1.T
@@ -315,7 +310,7 @@ def _chen_qin_statistic(sample: GroupedSample) -> float:
         raise SingularCovariance(
             "variance estimate of the cross-product statistic is not positive"
         )
-    return float(t_stat) / math.sqrt(variance)
+    return _upper_normal("chen_qin", float(t_stat) / math.sqrt(variance), sample, dag)
 
 
 def baseline(
@@ -335,53 +330,60 @@ def baseline(
     """
     if which not in ("bai_saranadasa", "chen_qin"):
         raise ValueError(f"unknown baseline {which!r}")
-    sample._check_range(dag)
-    state = _delta_free(which, sample, dag)
-    return _per_delta(which, state, sample, dag)[which]
+    return _run(which, sample, dag)[which]
 
 
 # ---------------------------------------------------------------------------
-# The two parts of each method
+# The method families
 # ---------------------------------------------------------------------------
 
-# Method -> the family whose two parts compute it; the t2dag pair shares one.
-_FAMILY = {
-    "t2dag_chi2": "t2dag",
-    "t2dag_z": "t2dag",
-    "hotelling": "hotelling",
-    "bai_saranadasa": "bai_saranadasa",
-    "chen_qin": "chen_qin",
+class _Family(NamedTuple):
+    """A family's methods, its delta-free part (sample, dag) -> state and its
+    per-delta part (state, sample, dag) -> {method: TestResult}."""
+
+    methods: tuple[str, ...]
+    prepare: Callable
+    finish: Callable
+
+
+_FAMILIES = {
+    # fit_sem is looked up when called, not when the table is built.
+    "t2dag": _Family(
+        ("t2dag_chi2", "t2dag_z"), lambda *args: fit_sem(*args), _t2dag_pair
+    ),
+    "hotelling": _Family(("hotelling",), _hotelling_factor, _hotelling_result),
+    "bai_saranadasa": _Family(
+        ("bai_saranadasa",), _bai_saranadasa_traces, _bai_saranadasa_result
+    ),
+    "chen_qin": _Family(("chen_qin",), _check_group_sizes, _chen_qin_result),
 }
 
-
-def _delta_free(family: str, sample: GroupedSample, dag: PathwayDag | None):
-    """The state of one family that the group means do not enter."""
-    if family == "t2dag":
-        return fit_sem(sample, dag)
-    if family == "hotelling":
-        return _hotelling_factor(sample)
-    if sample.n1 < 3 or sample.n2 < 3:
-        raise InsufficientSamples("baselines need at least 3 samples per group")
-    if family == "bai_saranadasa":
-        return _bai_saranadasa_traces(sample)
-    return None
+METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.methods)
 
 
-def _per_delta(
-    family: str, state, sample: GroupedSample, dag: PathwayDag | None
-) -> dict[str, TestResult]:
-    """{method: result} of one family from its state and the sample's means
-    (Chen–Qin: from the sample's rows)."""
-    if family == "t2dag":
-        return _t2dag_pair(sample, dag, state)
-    if family == "hotelling":
-        return {family: _hotelling_result(sample, dag, state)}
-    if family == "bai_saranadasa":
-        stat = _bai_saranadasa_statistic(sample, state)
-    else:
-        stat = _chen_qin_statistic(sample)
-    reference = {"family": "standard_normal", "tail": "upper"}
-    return {family: _result(family, stat, reference, _meta(sample, dag))}
+def _run(family: str, sample: GroupedSample, dag, state=None) -> dict:
+    """{method: result} of one family on one sample: the range check, then
+    the delta-free part unless ``state`` holds its outcome (a DagTestError
+    is raised), then the per-delta part."""
+    sample._check_range(dag)
+    entry = _FAMILIES[family]
+    if state is None:
+        state = entry.prepare(sample, dag)
+    elif isinstance(state, DagTestError):
+        raise state
+    return entry.finish(state, sample, dag)
+
+
+def method_families(methods: Sequence[str]) -> list[str]:
+    """The families, in table order, that compute some of ``methods``.
+
+    Raises:
+        ValueError: some method is not one of ``METHODS``.
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    return [f for f, entry in _FAMILIES.items() if set(entry.methods) & set(methods)]
 
 
 def prepare_methods(
@@ -394,15 +396,13 @@ def prepare_methods(
     traces, nothing for Chen–Qin) or the DagTestError that work raised; or
     None for an out-of-range sample, which holds no usable state.
     """
-    for method in methods:
-        if method not in _FAMILY:
-            raise ValueError(f"unknown method {method!r}")
+    families = method_families(methods)
     if sample._out_of_range is not None:
         return None
     states = {}
-    for family in dict.fromkeys(_FAMILY[method] for method in methods):
+    for family in families:
         try:
-            states[family] = _delta_free(family, sample, dag)
+            states[family] = _FAMILIES[family].prepare(sample, dag)
         except DagTestError as exc:
             states[family] = exc
     return states
@@ -413,38 +413,24 @@ def finish_methods(
 ) -> tuple[list[TestResult], list[str]]:
     """The per-delta part of each named method, as ``run_methods`` reports it.
 
-    The range check runs on this sample first, before ``states`` is read:
-    out of range, every method fails with its line, and ``states`` may be
-    None. In range, ``states`` comes from ``prepare_methods`` on this sample,
+    Each family goes through the runner of ``t2dag``, ``hotelling`` and
+    ``baseline``, so the range check runs on this sample before its state
+    is read: out of range, every method fails with its line, and ``states``
+    may be None. In range, ``states`` comes from ``prepare_methods`` on this sample,
     or on another in-range sample that differs from it only by a shift of a
     group's mean: such a shift moves only the means that this part reads,
     and the centered rows behind the states in their last bits.
     """
-    try:
-        sample._check_range(dag)
-    except DagTestError as exc:
-        return [], [f"{method}: {exc}" for method in methods]
-    results: list[TestResult] = []
-    errors: list[str] = []
-    done: dict = {}
-    for method in methods:
-        family = _FAMILY[method]
-        if family not in done:
-            state = states[family]
-            try:
-                done[family] = (
-                    state
-                    if isinstance(state, DagTestError)
-                    else _per_delta(family, state, sample, dag)
-                )
-            except DagTestError as exc:
-                done[family] = exc
-        outcome = done[family]
-        if isinstance(outcome, DagTestError):
-            errors.append(f"{method}: {outcome}")
-        else:
-            results.append(outcome[method])
-    return results, errors
+    outcomes: dict = {}
+    for family in method_families(methods):
+        state = None if states is None else states[family]
+        try:
+            outcomes.update(_run(family, sample, dag, state))
+        except DagTestError as exc:
+            outcomes.update(dict.fromkeys(_FAMILIES[family].methods, exc))
+    failed = [m for m in methods if isinstance(outcomes[m], DagTestError)]
+    results = [outcomes[m] for m in methods if m not in failed]
+    return results, [f"{m}: {outcomes[m]}" for m in failed]
 
 
 def run_methods(
@@ -461,8 +447,7 @@ def run_methods(
     Returns:
         (results in the order of ``methods``, error lines).
     """
-    states = prepare_methods(sample, dag, methods)
-    return finish_methods(states, sample, dag, methods)
+    return finish_methods(prepare_methods(sample, dag, methods), sample, dag, methods)
 
 
 def map_in_order(fn: Callable, items: Iterable, threads: int) -> list:

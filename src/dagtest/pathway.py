@@ -286,7 +286,9 @@ class EdgePerturbation:
     def __post_init__(self):
         if self.mode not in ("none", "missing", "redundant"):
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if not (isinstance(self.fraction, (int, float)) and 0.0 <= self.fraction < 1.0):
+        if isinstance(self.fraction, bool) or not (
+            isinstance(self.fraction, (int, float)) and 0.0 <= self.fraction < 1.0
+        ):
             raise ValueError("fraction must lie in [0, 1)")
         # A JSON config may give an integer; reports echo it as a float.
         object.__setattr__(self, "fraction", float(self.fraction))

@@ -259,10 +259,10 @@ def _fit_columns(y, A, nodes):
     residual is the centered column; one parent is the simple regression
     q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
     a zero or subnormal a·a, go through one stacked SVD. A block whose
-    smallest singular value is at most eps · max(n, k) · (largest column
-    norm), or at most the smallest normal float, is rank deficient, and its
+    smallest singular value is at most eps · max(n, k) · (largest singular
+    value), or at most the smallest normal float, is rank deficient, and its
     rank is the count of singular values above that threshold. The values
-    are in range (see ``GroupedSample``), so the column norms behind the
+    are in range (see ``GroupedSample``), so the singular values behind the
     threshold are finite.
 
     Args:
@@ -288,14 +288,13 @@ def _fit_columns(y, A, nodes):
         if not _any(aa <= _TINY):
             q = (_vecdot(a, y[..., :n]) / aa)[..., None]
             return q, *_split(y - A[..., 0] * q, n), {}
-    B = A[..., :n, :]
-    # The floor keeps every fit from dividing by a subnormal singular value.
-    # It binds only for a block whose columns are all tiny: norms below about
-    # 1e-292 / max(n, k), or values whose squares underflow to 0.
-    tol = np.maximum(
-        _EPS * max(n, k) * np.sqrt(np.add.reduce(B * B, axis=-2)).max(axis=-1), _TINY
-    )
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    U, s, Vt = np.linalg.svd(A[..., :n, :], full_matrices=False)
+    # numpy's matrix_rank rule, from the largest singular value, which does
+    # not underflow as squared column values do. The floor keeps every fit
+    # from dividing by a subnormal singular value: it binds only for a block
+    # whose largest singular value is below about 1e-292 / max(n, k), such as
+    # a lone subnormal column.
+    tol = np.maximum(_EPS * max(n, k) * s[..., 0], _TINY)
     # Singular values come in descending order, so the last one decides.
     deficient = s[..., -1] <= tol
     failures = {}
@@ -339,8 +338,8 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     single parent column is a simple regression unless a·a is zero or
     subnormal; that column, and any block of two or more parents, goes
     through a singular value decomposition, which detects rank deficiency
-    with threshold eps · max(n, |S_j|) · (largest parent column norm),
-    floored at the smallest normal float.
+    with threshold eps · max(n, |S_j|) · (largest singular value), floored
+    at the smallest normal float.
     Residuals are always formed explicitly, and θ̂ comes from the
     cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 

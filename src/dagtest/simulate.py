@@ -12,6 +12,7 @@ independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -21,7 +22,7 @@ from scipy.special import betaincinv
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError
-from .mean_tests import METHODS, finish_methods, map_in_order, prepare_methods
+from .mean_tests import finish_methods, map_in_order, method_families, prepare_methods
 from .pathway import EdgePerturbation, PathwayDag, perturb_edges, round_half_up
 from .sem import GroupedSample
 
@@ -53,6 +54,16 @@ def _as_generator(seed) -> np.random.Generator:
 # Configuration
 # ---------------------------------------------------------------------------
 
+# JSON reads true and false as Python bools, which are ints; a config field
+# takes neither as a number.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConfounderConfig:
     """Latent-confounder settings for dataset generation.
@@ -71,16 +82,16 @@ class ConfounderConfig:
     c_scale: float = math.sqrt(0.2)
 
     def __post_init__(self):
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (_is_int(self.count) and self.count >= 1):
             raise ConfigError("/confounders/count", "must be a positive integer")
         if self.sigma_w_rule != "inverse_max_abs_q":
             raise ConfigError(
                 "/confounders/sigma_w_rule",
                 f"unknown rule {self.sigma_w_rule!r}",
             )
-        if not (0.0 < self.c_density <= 1.0):
+        if not (_is_number(self.c_density) and 0.0 < self.c_density <= 1.0):
             raise ConfigError("/confounders/c_density", "must lie in (0, 1]")
-        if not self.c_scale > 0.0:
+        if not (_is_number(self.c_scale) and self.c_scale > 0.0):
             raise ConfigError("/confounders/c_scale", "must be positive")
 
 
@@ -127,10 +138,20 @@ class SimConfig:
             if not cond:
                 raise ConfigError(path, reason)
 
-        need(isinstance(self.n1, int) and self.n1 >= 2, "/n1", "integer >= 2 required")
-        need(isinstance(self.n2, int) and self.n2 >= 2, "/n2", "integer >= 2 required")
-        need(isinstance(self.p, int) and self.p >= 2, "/p", "integer >= 2 required")
-        need(0.0 <= self.p0_fraction < 1.0, "/p0_fraction", "must lie in [0, 1)")
+        def integer(name: str, low: int):
+            value = getattr(self, name)
+            ok = _is_int(value) and value >= low
+            need(ok, f"/{name}", f"integer >= {low} required")
+
+        def number(name: str):
+            value = getattr(self, name)
+            need(_is_number(value), f"/{name}", "number required")
+            return value
+
+        integer("n1", 2)
+        integer("n2", 2)
+        integer("p", 2)
+        need(0.0 <= number("p0_fraction") < 1.0, "/p0_fraction", "must lie in [0, 1)")
         if self.p0_fraction > 0.0:
             need(
                 self.n_children >= 1,
@@ -142,37 +163,29 @@ class SimConfig:
             "/p0_fraction",
             "children cannot outnumber the non-root positions",
         )
-        need(
-            isinstance(self.nb_failures, int) and self.nb_failures >= 1,
-            "/nb_failures",
-            "integer >= 1 required",
-        )
-        need(0.0 < self.nb_success < 1.0, "/nb_success", "must lie in (0, 1)")
-        need(self.kappa > 0.0, "/kappa", "must be positive")
+        integer("nb_failures", 1)
+        need(0.0 < number("nb_success") < 1.0, "/nb_success", "must lie in (0, 1)")
+        need(number("kappa") > 0.0, "/kappa", "must be positive")
         need(math.isfinite(self.kappa), "/kappa", "must be finite")
-        need(self.r0 > 0.0, "/r0", "must be positive")
+        need(number("r0") > 0.0, "/r0", "must be positive")
         need(math.isfinite(self.r0), "/r0", "must be finite")
-        need(math.isfinite(self.delta), "/delta", "must be finite")
-        need(0.0 <= self.q_fraction <= 1.0, "/q_fraction", "must lie in [0, 1]")
+        need(math.isfinite(number("delta")), "/delta", "must be finite")
+        need(0.0 <= number("q_fraction") <= 1.0, "/q_fraction", "must lie in [0, 1]")
         need(
             self.error_family in ERROR_FAMILIES,
             "/error_family",
             f"must be one of {', '.join(ERROR_FAMILIES)}",
         )
+        integer("replicates", 1)
         need(
-            isinstance(self.replicates, int) and self.replicates >= 1,
-            "/replicates",
-            "integer >= 1 required",
-        )
-        need(
-            isinstance(self.seed, int) and self.seed >= 0,
+            _is_int(self.seed) and self.seed >= 0,
             "/seed",
             "nonnegative integer required",
         )
-        need(0.0 < self.alpha < 1.0, "/alpha", "must lie in (0, 1)")
+        need(0.0 < number("alpha") < 1.0, "/alpha", "must lie in (0, 1)")
         seed = self.perturbation.seed
         need(
-            seed is None or (isinstance(seed, int) and seed >= 0),
+            seed is None or (_is_int(seed) and seed >= 0),
             "/perturbation/seed",
             "null or nonnegative integer required",
         )
@@ -561,9 +574,7 @@ def run_delta_grid(
     methods = tuple(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+    method_families(methods)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if not configs:

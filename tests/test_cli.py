@@ -572,6 +572,10 @@ def test_cmd_simulate_reports_config_errors(tmp_path, capsys):
         ({"confounders": {"count": 1.5}}, "/confounders/count"),
         # delta_grid replaces delta; both set is ambiguous.
         ({"delta": 0.1}, "/delta"),
+        ({"seed": True}, "/seed"),
+        ({"delta_grid": [True, False]}, "/delta_grid"),
+        ({"kappa": "1.5"}, "/kappa"),
+        ({"alpha": None}, "/alpha"),
     ],
 )
 def test_cmd_simulate_config_errors_exit_2(tmp_path, capsys, patch, path):

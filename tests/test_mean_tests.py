@@ -11,6 +11,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 
 from dagtest.errors import (
+    DagTestError,
     DimensionTooLarge,
     EmptyList,
     InsufficientSamples,
@@ -563,6 +564,68 @@ def test_run_methods_dispatches_each_method_once(monkeypatch):
     by_method = {r.method: r for r in results}
     assert by_method["t2dag_chi2"].statistic == chi2_res.statistic
     assert by_method["t2dag_z"].statistic == z_res.statistic
+
+
+def _out_of_range(sample):
+    sample.X[3, 1] = np.inf
+    return sample
+
+
+@pytest.mark.parametrize(
+    "make, edges, failing",
+    [
+        (lambda rng: random_sample(rng, 8, 8, 4), [(0, 1), (1, 2), (2, 3)], set()),
+        # p >= n - 1: Hotelling's dimension check.
+        (lambda rng: random_sample(rng, 4, 4, 7), [(0, 1), (1, 2)], {"hotelling"}),
+        # n_g = 2: the baselines' group size.
+        (
+            lambda rng: random_sample(rng, 2, 6, 3),
+            [(0, 1)],
+            {"bai_saranadasa", "chen_qin"},
+        ),
+        # Node 2 has two parents and n = 6: too few samples for the SEM fit.
+        (
+            lambda rng: random_sample(rng, 3, 3, 3),
+            [(0, 2), (1, 2)],
+            {"t2dag_chi2", "t2dag_z"},
+        ),
+        (
+            lambda rng: _out_of_range(random_sample(rng, 8, 8, 4)),
+            [(0, 1), (1, 2), (2, 3)],
+            set(METHODS),
+        ),
+    ],
+)
+def test_entry_points_agree_with_run_methods(make, edges, failing):
+    # Each method's own entry point gives run_methods' result bit for bit,
+    # or raises the error behind run_methods' line for that method.
+    sample = make(np.random.default_rng(7))
+    dag = PathwayDag.from_edges(edges, p=sample.p)
+    entries = {
+        "t2dag_chi2": lambda: t2dag(sample, dag)[0],
+        "t2dag_z": lambda: t2dag(sample, dag)[1],
+        "hotelling": lambda: hotelling(sample, dag=dag),
+        "bai_saranadasa": lambda: baseline(sample, "bai_saranadasa", dag=dag),
+        "chen_qin": lambda: baseline(sample, "chen_qin", dag=dag),
+    }
+    assert tuple(entries) == METHODS
+    expected_results, expected_errors = [], []
+    for method, call in entries.items():
+        try:
+            res = call()
+        except DagTestError as exc:
+            expected_errors.append(f"{method}: {exc}")
+        else:
+            expected_results.append((method, res.statistic, res.p_value))
+    results, errors = mean_tests.run_methods(sample, dag, METHODS)
+    assert [(r.method, r.statistic, r.p_value) for r in results] == expected_results
+    assert errors == expected_errors
+    assert {line.split(":")[0] for line in errors} == failing
+    if "t2dag_chi2" not in failing:
+        pair = t2dag(sample, dag, estimate=fit_sem(sample, dag))
+        assert [(r.statistic, r.p_value) for r in pair] == [
+            (r.statistic, r.p_value) for r in results[:2]
+        ]
 
 
 def test_out_of_range_sample_prepares_no_state():

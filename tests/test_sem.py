@@ -180,6 +180,19 @@ def test_subnormal_parent_column_is_rank_deficient(parents, rank):
     ]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-170, 1e-200, 1e-300])
+def test_collinear_parents_rank_deficient_at_every_scale(scale):
+    # Two parent columns equal to within 1e-15 relative: the rank threshold
+    # comes from the block's largest singular value, so the decision does
+    # not depend on the scale, also where squared values underflow.
+    X = np.random.default_rng(4).normal(size=(20, 3))
+    X[:, 2] = X[:, 1] * (1.0 + 1e-15)
+    X[:, 1:] *= scale
+    sample = GroupedSample.from_groups(X[:10], X[10:])
+    with pytest.raises(RankDeficientDesign, match="rank 1 < 2"):
+        fit_node(sample, 0, (1, 2))
+
+
 def test_fit_node_insufficient_samples():
     rng = np.random.default_rng(10)
     sample = random_sample(rng, 3, 3, 5)  # n = 6, |S_j| = 2 -> dof = 0

@@ -308,6 +308,20 @@ def test_sim_config_dict_round_trip():
         ({"perturbation": {"mode": "missing", "seed": -1}}, "/perturbation/seed"),
         ({"perturbation": {"mode": "missing", "fraction": "x"}}, "/perturbation"),
         ({"confounders": {"count": 1.5}}, "/confounders/count"),
+        # JSON true and false are Python bools, which are ints.
+        ({"seed": True}, "/seed"),
+        ({"replicates": True}, "/replicates"),
+        ({"nb_failures": True}, "/nb_failures"),
+        ({"delta": True}, "/delta"),
+        ({"confounders": {"count": True}}, "/confounders/count"),
+        ({"confounders": {"c_density": True}}, "/confounders/c_density"),
+        ({"perturbation": {"mode": "missing", "seed": True}}, "/perturbation/seed"),
+        ({"perturbation": {"mode": "missing", "fraction": False}}, "/perturbation"),
+        # A value of the wrong JSON type fails at its own path.
+        ({"kappa": "1.5"}, "/kappa"),
+        ({"alpha": None}, "/alpha"),
+        ({"p0_fraction": [0.5]}, "/p0_fraction"),
+        ({"confounders": {"c_scale": "1"}}, "/confounders/c_scale"),
     ],
 )
 def test_sim_config_validation_paths(patch, path):
