@@ -46,7 +46,13 @@ from .data_io import (  # noqa: E402
     log2_shift_transform,
 )
 from .errors import ConfigError, DagTestError  # noqa: E402
-from .mean_tests import METHODS, bonferroni_adjust, map_in_order, run_methods  # noqa: E402
+from .mean_tests import (  # noqa: E402
+    METHODS,
+    bonferroni_adjust,
+    map_in_order,
+    method_families,
+    run_methods,
+)
 from .pathway import acyclic_reduction, parse_edge_document  # noqa: E402
 from .sem import GroupedSample  # noqa: E402
 from .simulate import MethodSummary, SimConfig, run_delta_grid  # noqa: E402
@@ -58,11 +64,10 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     if not methods:
         raise ValueError("no methods given")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-            )
+    try:
+        method_families(methods)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; choose from {', '.join(METHODS)}") from None
     return methods
 
 

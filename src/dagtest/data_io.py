@@ -263,11 +263,6 @@ def align_pathway(
         for j, k in dag.edges
         if j in remap and k in remap
     ]
-    removed = [
-        (remap[j], remap[k])
-        for j, k in dag.removed_edges
-        if j in remap and k in remap
-    ]
     labels = [dag.node_labels[i] for i in kept]
     signs = None
     if dag.edge_signs:
@@ -277,7 +272,7 @@ def align_pathway(
             if j in remap and k in remap
         }
     restricted = PathwayDag.from_edges(
-        edges, p=len(kept), labels=labels, removed_edges=removed, edge_signs=signs
+        edges, p=len(kept), labels=labels, edge_signs=signs
     )
     return restricted, dropped
 

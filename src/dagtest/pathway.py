@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,27 +44,34 @@ def round_half_up(x: float) -> int:
 class PathwayDag:
     """An immutable directed acyclic gene-interaction graph.
 
+    The graph is its edges: the topological order and the parent sets are
+    derived from ``p`` and ``edges`` on construction and cannot be passed in.
+
     Attributes:
         p: number of nodes (genes).
         edges: directed edges ``(j, k)`` meaning j -> k, in original indices.
         node_labels: optional gene identifiers, length ``p``.
-        topo_order: ``topo_order[position] = original index``; every edge points
-            from a smaller position to a larger one.
-        parent_sets: per topological position, the sorted tuple of parent
-            positions.
-        removed_edges: edges deleted by :func:`acyclic_reduction` when this dag
-            was produced by repairing a cyclic graph (empty otherwise).
         edge_signs: optional activation/inhibition annotations keyed by edge;
             carried as metadata only, never used by the estimator.
+        topo_order: derived; ``topo_order[position] = original index``, the
+            order of :func:`topological_order`, so every edge points from a
+            smaller position to a larger one.
+        parent_sets: derived; per topological position, the sorted tuple of
+            parent positions.
+
+    Raises:
+        ValueError: an edge index out of range, a negative ``p``, or
+            ``node_labels`` of another length than ``p``.
+        SelfLoop: if any edge is of the form (j, j).
+        CycleDetected: if the graph has a directed cycle.
     """
 
     p: int
     edges: frozenset[Edge]
     node_labels: tuple[str, ...] | None
-    topo_order: tuple[int, ...]
-    parent_sets: tuple[tuple[int, ...], ...]
-    removed_edges: tuple[Edge, ...] = ()
     edge_signs: Mapping[Edge, str] | None = None
+    topo_order: tuple[int, ...] = field(init=False)
+    parent_sets: tuple[tuple[int, ...], ...] = field(init=False)
 
     @classmethod
     def from_edges(
@@ -72,53 +79,37 @@ class PathwayDag:
         edges: Iterable[Edge],
         p: int,
         labels: Sequence[str] | None = None,
-        removed_edges: Sequence[Edge] = (),
         edge_signs: Mapping[Edge, str] | None = None,
     ) -> "PathwayDag":
-        """Build a dag from an edge set, deriving order and parent sets.
-
-        Raises:
-            SelfLoop: if any edge is of the form (j, j).
-            CycleDetected: if the graph has a directed cycle.
-        """
-        edge_set = frozenset((int(j), int(k)) for j, k in edges)
-        for j, k in sorted(edge_set):
-            if not (0 <= j < p and 0 <= k < p):
-                raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
-            if j == k:
-                raise SelfLoop(f"self-loop at node {j}")
-        order = topological_order(edge_set, p)
-        position = {node: pos for pos, node in enumerate(order)}
-        parents: list[list[int]] = [[] for _ in range(p)]
-        for j, k in edge_set:
-            parents[position[k]].append(position[j])
-        parent_sets = tuple(tuple(sorted(s)) for s in parents)
+        """Build a dag from any iterable of edges, normalised to a frozenset
+        of int pairs, with the labels as a tuple and the signs as a dict."""
         return cls(
             p=p,
-            edges=edge_set,
+            edges=frozenset((int(j), int(k)) for j, k in edges),
             node_labels=tuple(labels) if labels is not None else None,
-            topo_order=tuple(order),
-            parent_sets=parent_sets,
-            removed_edges=tuple(removed_edges),
             edge_signs=dict(edge_signs) if edge_signs else None,
         )
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
-        if self.node_labels is not None and len(self.node_labels) != self.p:
-            raise ValueError("node_labels length must equal p")
-        if sorted(self.topo_order) != list(range(self.p)):
-            raise ValueError("topo_order must be a permutation of 0..p-1")
-        position = {node: pos for pos, node in enumerate(self.topo_order)}
-        for j, k in self.edges:
+        p = self.p
+        for j, k in sorted(self.edges):
+            if not (0 <= j < p and 0 <= k < p):
+                raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
             if j == k:
                 raise SelfLoop(f"self-loop at node {j}")
-            if position[j] >= position[k]:
-                raise CycleDetected([j, k])
-        for pos, s in enumerate(self.parent_sets):
-            if any(i >= pos for i in s):
-                raise ValueError(f"parent set at position {pos} is not upstream")
+        order = topological_order(self.edges, p)
+        if p < 0:
+            raise ValueError("p must be nonnegative")
+        if self.node_labels is not None and len(self.node_labels) != p:
+            raise ValueError("node_labels length must equal p")
+        position = {node: pos for pos, node in enumerate(order)}
+        parents: list[list[int]] = [[] for _ in range(p)]
+        for j, k in self.edges:
+            parents[position[k]].append(position[j])
+        object.__setattr__(self, "topo_order", tuple(order))
+        object.__setattr__(
+            self, "parent_sets", tuple(tuple(sorted(s)) for s in parents)
+        )
 
     # -- derived counts ------------------------------------------------------
 
@@ -229,8 +220,9 @@ def acyclic_reduction(
     more than a couple of feedback loops, so the choice is low-impact.
 
     Returns:
-        (dag, removed_edges) with deletions listed in removal order.
-        Idempotent: running it on a DAG returns the graph unchanged.
+        (dag, removed): the repaired dag and the deleted edges in removal
+        order; the dag itself does not keep them. Idempotent: running it on
+        a DAG returns the graph unchanged and no removed edges.
     """
     working = {(int(j), int(k)) for j, k in edges}
     removed: list[Edge] = []
@@ -257,9 +249,7 @@ def acyclic_reduction(
     if edge_signs:
         signs = {e: s for e, s in edge_signs.items() if e in working}
     return (
-        PathwayDag.from_edges(
-            working, p, labels=labels, removed_edges=removed, edge_signs=signs
-        ),
+        PathwayDag.from_edges(working, p, labels=labels, edge_signs=signs),
         removed,
     )
 

@@ -430,30 +430,6 @@ class SemEstimate:
                 f"residual variance at topological position {bad} is not positive"
             )
 
-    @cached_property
-    def node_fits(self) -> tuple[NodeFit, ...]:
-        """One NodeFit per topological position, built on first access from
-        the arrays; empty when the estimate holds no per-node fits."""
-        if self.dof is None:
-            return ()
-        return tuple(
-            NodeFit(
-                j=pos,
-                q_hat=self.Q_hat[list(parents), pos],
-                theta_hat=(t1, t2),
-                r_hat=r_hat,
-                dof=dof,
-            )
-            for pos, (parents, (t1, t2), r_hat, dof) in enumerate(
-                zip(
-                    self.dag.parent_sets,
-                    self.theta_hat.tolist(),
-                    self.R_hat.tolist(),
-                    self.dof.tolist(),
-                )
-            )
-        )
-
 
 def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     """Fit every node of the dag and assemble the SEM estimate.

@@ -205,7 +205,10 @@ def test_cmd_test_rejects_unknown_method(workdir, capsys):
         ]
     )
     assert code == 2
-    assert "unknown method" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown method 'anova'; choose from t2dag_chi2, t2dag_z, "
+        "hotelling, bai_saranadasa, chen_qin\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,28 @@ def test_from_edges_parent_sets_and_counts():
     assert [dag.topo_order[q] for q in by_node[3]] == [2]
     assert by_node[4] == ()
     assert all(q < pos[2] for q in by_node[2])
+    # Order and parent sets are derived from the edges alone: any edge order
+    # and the plain constructor give the same dag, and neither can be passed.
+    for edges in ([(2, 3), (1, 2), (0, 2)], iter([(1, 2), (2, 3), (0, 2)])):
+        other = PathwayDag.from_edges(edges, p=5)
+        assert other == dag
+        assert other.topo_order == dag.topo_order
+        assert other.parent_sets == dag.parent_sets
+    assert PathwayDag(p=5, edges=dag.edges, node_labels=None) == dag
+    for derived in ("topo_order", "parent_sets"):
+        with pytest.raises(TypeError):
+            PathwayDag(p=5, edges=dag.edges, node_labels=None, **{derived: ()})
 
 
 def test_from_edges_rejects_self_loop_and_range():
     with pytest.raises(SelfLoop):
         PathwayDag.from_edges([(1, 1)], p=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for p=3"):
         PathwayDag.from_edges([(0, 3)], p=3)
+    with pytest.raises(ValueError, match="p must be nonnegative"):
+        PathwayDag.from_edges([], p=-1)
+    with pytest.raises(ValueError, match="node_labels length must equal p"):
+        PathwayDag.from_edges([(0, 1)], p=3, labels=["A", "B"])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +181,6 @@ def test_reduction_two_cycle_removes_smaller_edge():
     dag, removed = acyclic_reduction([(0, 1), (1, 0)], p=2)
     assert removed == [(0, 1)]
     assert dag.edges == frozenset({(1, 0)})
-    assert dag.removed_edges == ((0, 1),)
 
 
 def test_reduction_strips_self_loops_first():

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
 from dagtest.errors import (
@@ -321,7 +321,7 @@ def test_fit_sem_consistency_large_sample():
     assert est.dag.topo_order == tuple(range(p))  # edges already forward
     assert np.max(np.abs(est.Q_hat - Q)) < 0.05
     assert np.max(np.abs(est.R_hat - R)) < 0.05
-    theta2 = np.array([nf.theta_hat[1] for nf in est.node_fits])
+    theta2 = est.theta_hat[:, 1]
     # theta2 estimates the group contrast of the node-conditional means.
     expected = shift - Q.T @ shift
     assert np.max(np.abs(theta2 - expected)) < 0.05
@@ -389,12 +389,8 @@ def test_fit_sem_matches_pinv_oracle_on_mixed_parent_counts():
         Q, R, theta, dof = _oracle_estimate(sample, dag)
         assert_allclose(est.Q_hat, Q, rtol=1e-10, atol=1e-10, err_msg=str(trial))
         assert_allclose(est.R_hat, R, rtol=1e-10, err_msg=str(trial))
-        fits = est.node_fits
-        assert [nf.j for nf in fits] == list(range(p))
-        assert_allclose([nf.theta_hat for nf in fits], theta, rtol=1e-10, atol=1e-10)
-        assert [nf.dof for nf in fits] == dof.tolist()
-        for nf, parents in zip(fits, dag.parent_sets):
-            assert_array_equal(nf.q_hat, est.Q_hat[list(parents), nf.j])
+        assert_allclose(est.theta_hat, theta, rtol=1e-10, atol=1e-10)
+        assert est.dof.tolist() == dof.tolist()
 
 
 def _sequential_failure(sample, dag):
