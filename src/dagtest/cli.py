@@ -1,11 +1,14 @@
 """Command-line front end: ``dagtest test | batch | simulate``.
 
-``test`` runs the selected methods on one pathway against an expression
-matrix, prints a table, and optionally writes a JSON report with stable bytes.
-``batch`` runs the same pipeline over a directory of pathway files in a worker
-pool and applies a Bonferroni threshold alpha0/H, where H counts the pathways
-that produced at least one test result. ``simulate`` drives replicated
-synthetic experiments from a JSON config, writing CSV and JSON tables.
+Each command parses its flags, calls the library and prints. ``test`` and
+``batch`` share one pipeline: ``_analyze_pathway`` turns a pathway file into
+its report entry (parse, repair cycles, align to the measured genes, run the
+methods), and ``_decide`` rejects at the Bonferroni threshold alpha/H, where H
+counts the pathways that produced at least one result (for ``test``, H = 1).
+``batch`` runs it over a directory in a worker pool, where a file that fails
+fails alone. ``simulate`` reads its JSON config with
+``simulate.read_config_document`` and writes CSV and JSON tables. Reports
+written with ``--out`` have stable bytes.
 
 Exit status: 0 when at least one result was produced, 1 when none were,
 2 for usage/config/input errors.
@@ -22,11 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -48,14 +50,17 @@ from .data_io import (  # noqa: E402
 from .errors import ConfigError, DagTestError  # noqa: E402
 from .mean_tests import (  # noqa: E402
     METHODS,
-    bonferroni_adjust,
     map_in_order,
     method_families,
     run_methods,
 )
 from .pathway import acyclic_reduction, parse_edge_document  # noqa: E402
 from .sem import GroupedSample  # noqa: E402
-from .simulate import MethodSummary, SimConfig, run_delta_grid  # noqa: E402
+from .simulate import (  # noqa: E402
+    MethodSummary,
+    read_config_document,
+    run_delta_grid,
+)
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -79,36 +84,47 @@ def _maybe_log2(sample: GroupedSample, flag: bool) -> GroupedSample:
     )
 
 
-def _prepare_pathway(sample: GroupedSample, gene_index: Mapping[str, int], path):
-    """Parse, repair, and align one pathway file; subset the sample columns."""
-    text = Path(path).read_text()
-    labels, edges, signs = parse_edge_document(text)
+def _analyze_pathway(
+    sample: GroupedSample, gene_index: Mapping[str, int], path, methods
+) -> dict:
+    """The report entry of one pathway file: parsed, its cycles broken, its
+    genes aligned to the measured ones, and ``methods`` run on them."""
+    labels, edges, signs = parse_edge_document(Path(path).read_text())
     dag, removed = acyclic_reduction(
         edges, p=len(labels), labels=labels, edge_signs=signs
     )
     aligned, dropped = align_pathway(dag, gene_index)
-    cols = [gene_index[lab] for lab in aligned.node_labels]
-    sub = sample.reorder_columns(cols)
-    removed_labels = [[labels[j], labels[k]] for j, k in removed]
-    return sub, aligned, removed_labels, list(dropped)
-
-
-def _pathway_meta(path, aligned, removed_labels, dropped) -> dict:
+    sub = sample.reorder_columns([gene_index[lab] for lab in aligned.node_labels])
+    results, errors = run_methods(sub, aligned, methods)
     return {
         "file": str(path),
         "p": aligned.p,
         "p0": aligned.n_children,
         "d": aligned.max_in_degree,
         "Ne": aligned.n_edges,
-        "removed_cycle_edges": removed_labels,
-        "dropped_genes": dropped,
+        "removed_cycle_edges": [[labels[j], labels[k]] for j, k in removed],
+        "dropped_genes": list(dropped),
+        "n1": sub.n1,
+        "n2": sub.n2,
+        "results": [r.to_dict() for r in results],
+        "errors": errors,
     }
 
 
-def _print_results(rows: list[tuple[str, float, float, str]]) -> None:
-    print(f"{'method':<16} {'statistic':>14} {'p_value':>12}  decision")
-    for method, statistic, p_value, decision in rows:
-        print(f"{method:<16} {statistic:>14.6g} {p_value:>12.4g}  {decision}")
+def _decide(entries: list[dict], alpha: float) -> float | None:
+    """Give each entry its decisions at the Bonferroni threshold alpha/H.
+
+    H counts the entries with at least one result, and is the family of each
+    method: where a method failed on one of them, that test counts toward H
+    unrejected. Returns the threshold, or None when H is 0.
+    """
+    n_analyzed = sum(1 for entry in entries if entry["results"])
+    threshold = alpha / n_analyzed if n_analyzed else None
+    for entry in entries:
+        entry["decisions"] = {
+            r["method"]: r["p_value"] <= threshold for r in entry["results"]
+        }
+    return threshold
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +138,37 @@ def cmd_test(args) -> int:
         return 2
     sample, gene_index = load_expression(args.expression, args.labels)
     sample = _maybe_log2(sample, args.log2_transform)
-    sub, aligned, removed_labels, dropped = _prepare_pathway(
-        sample, gene_index, args.pathway
-    )
-    results, errors = run_methods(sub, aligned, methods)
-    decisions = {r.method: bool(r.p_value <= args.alpha) for r in results}
+    entry = _analyze_pathway(sample, gene_index, args.pathway, methods)
+    _decide([entry], args.alpha)
+    pathway = dict(entry)
     report = {
-        "pathway": _pathway_meta(args.pathway, aligned, removed_labels, dropped),
-        "n1": sub.n1,
-        "n2": sub.n2,
+        "pathway": pathway,
+        "n1": pathway.pop("n1"),
+        "n2": pathway.pop("n2"),
         "alpha": args.alpha,
-        "results": [r.to_dict() for r in results],
-        "decisions": decisions,
-        "errors": errors,
+        "results": pathway.pop("results"),
+        "decisions": pathway.pop("decisions"),
+        "errors": pathway.pop("errors"),
     }
-    meta = report["pathway"]
     print(
-        f"pathway {meta['file']}: p={meta['p']} p0={meta['p0']} "
-        f"d={meta['d']} Ne={meta['Ne']} "
-        f"(dropped {len(dropped)} unmeasured genes, "
-        f"removed {len(removed_labels)} cycle edges)"
+        f"pathway {pathway['file']}: p={pathway['p']} p0={pathway['p0']} "
+        f"d={pathway['d']} Ne={pathway['Ne']} "
+        f"(dropped {len(pathway['dropped_genes'])} unmeasured genes, "
+        f"removed {len(pathway['removed_cycle_edges'])} cycle edges)"
     )
-    print(f"groups: n1={sub.n1} n2={sub.n2}, alpha={args.alpha}")
-    _print_results(
-        [
-            (
-                r.method,
-                r.statistic,
-                r.p_value,
-                "reject" if decisions[r.method] else "retain",
-            )
-            for r in results
-        ]
-    )
-    for line in errors:
+    print(f"groups: n1={report['n1']} n2={report['n2']}, alpha={args.alpha}")
+    print(f"{'method':<16} {'statistic':>14} {'p_value':>12}  decision")
+    for r in report["results"]:
+        decision = "reject" if report["decisions"][r["method"]] else "retain"
+        print(
+            f"{r['method']:<16} {r['statistic']:>14.6g} {r['p_value']:>12.4g}  "
+            f"{decision}"
+        )
+    for line in report["errors"]:
         print(f"failed: {line}")
     if args.out:
         Path(args.out).write_text(dump_json(report))
-    return 0 if results else 1
+    return 0 if report["results"] else 1
 
 
 def cmd_batch(args) -> int:
@@ -182,43 +191,20 @@ def cmd_batch(args) -> int:
 
     def worker(path) -> dict:
         start = time.perf_counter()
-        outcome = {"name": path.stem}
         try:
-            sub, aligned, removed_labels, dropped = _prepare_pathway(
-                sample, gene_index, path
-            )
-            results, errors = run_methods(sub, aligned, methods)
-            outcome.update(_pathway_meta(path, aligned, removed_labels, dropped))
-            outcome["n1"] = sub.n1
-            outcome["n2"] = sub.n2
-            outcome["results"] = [r.to_dict() for r in results]
-            outcome["errors"] = errors
+            entry = _analyze_pathway(sample, gene_index, path, methods)
         # A file that cannot be read or decoded fails its own pathway.
         except (DagTestError, OSError, UnicodeDecodeError) as exc:
-            outcome["file"] = str(path)
-            outcome["results"] = []
-            outcome["errors"] = [str(exc)]
-        outcome["wall_clock_s"] = time.perf_counter() - start
-        return outcome
+            entry = {"file": str(path), "results": [], "errors": [str(exc)]}
+        return {
+            "name": path.stem,
+            **entry,
+            "wall_clock_s": time.perf_counter() - start,
+        }
 
     outcomes = map_in_order(worker, files, args.threads)
-    analyzed = [o for o in outcomes if o["results"]]
-    n_analyzed = len(analyzed)
-    threshold = None
-    for outcome in outcomes:
-        outcome["decisions"] = {}
-    # Each method's family is the H analyzed pathways; where the method
-    # failed on one of them, that test counts toward H unrejected.
-    for method in methods if analyzed else ():
-        p_values = [
-            {r["method"]: r["p_value"] for r in o["results"]}.get(method)
-            for o in analyzed
-        ]
-        family = bonferroni_adjust(p_values, args.alpha0)
-        threshold = family.threshold
-        for outcome, p_value, reject in zip(analyzed, p_values, family.decisions):
-            if p_value is not None:
-                outcome["decisions"][method] = reject
+    threshold = _decide(outcomes, args.alpha0)
+    n_analyzed = sum(1 for o in outcomes if o["results"])
     report = {
         "alpha0": args.alpha0,
         "n_files": len(files),
@@ -256,34 +242,11 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(doc, dict):
-        print("error: config error at /: must be a JSON object", file=sys.stderr)
-        return 2
-    doc = dict(doc)
-    delta_grid = doc.pop("delta_grid", None)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    methods = _parse_methods(args.methods)
     try:
-        if delta_grid is not None and (
-            not isinstance(delta_grid, list)
-            or not delta_grid
-            or not all(
-                type(d) in (int, float) and math.isfinite(d)
-                for d in delta_grid
-            )
-        ):
-            raise ConfigError(
-                "/delta_grid", "must be a nonempty array of finite numbers"
-            )
-        if delta_grid is not None and "delta" in doc:
-            raise ConfigError("/delta", "must not be set together with delta_grid")
-        cfg = SimConfig.from_dict(doc)
-        deltas = (
-            [float(d) for d in delta_grid]
-            if delta_grid is not None
-            else [cfg.delta]
-        )
+        cfg, deltas = read_config_document(doc)
+        methods = _parse_methods(args.methods)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         tables = run_delta_grid(cfg, deltas, methods, threads=args.threads)
     except ConfigError as exc:
         print(f"error: config error at {exc.path}: {exc.reason}", file=sys.stderr)
@@ -392,10 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DagTestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DagTestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

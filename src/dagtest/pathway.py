@@ -69,7 +69,7 @@ class PathwayDag:
     p: int
     edges: frozenset[Edge]
     node_labels: tuple[str, ...] | None
-    edge_signs: Mapping[Edge, str] | None = None
+    edge_signs: Mapping[Edge, str] | None = field(default=None, hash=False)
     topo_order: tuple[int, ...] = field(init=False)
     parent_sets: tuple[tuple[int, ...], ...] = field(init=False)
 

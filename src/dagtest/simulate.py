@@ -204,38 +204,55 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SimConfig":
-        known = {f.name for f in fields(cls)}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"/{key}", "unknown field")
-        kwargs = dict(doc)
-        for key, section in (
-            ("confounders", ConfounderConfig),
-            ("perturbation", EdgePerturbation),
-        ):
-            if kwargs.get(key) is not None:
-                kwargs[key] = _section_from_dict(section, kwargs[key], f"/{key}")
-        if "perturbation" in kwargs and kwargs["perturbation"] is None:
-            del kwargs["perturbation"]
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError("/", str(exc)) from exc
+        return _read_fields(cls, doc)
 
 
-def _section_from_dict(cls, doc, path: str):
-    """The nested config ``cls`` at ``path``, built from a JSON object whose
-    keys are all fields of ``cls``."""
+# The fields of SimConfig that are JSON objects of their own.
+_SECTIONS = {"confounders": ConfounderConfig, "perturbation": EdgePerturbation}
+
+
+def _read_fields(cls, doc, path: str = ""):
+    """The config ``cls`` built from the JSON object ``doc`` at ``path``, whose
+    keys are all fields of ``cls``. A section is read the same way at its own
+    path; a null section takes the field's default."""
     if not isinstance(doc, Mapping):
-        raise ConfigError(path, "must be a JSON object")
+        raise ConfigError(path or "/", "must be a JSON object")
     known = {f.name for f in fields(cls)}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{path}/{key}", "unknown field")
+    kwargs = dict(doc)
+    for key, section in _SECTIONS.items():
+        if kwargs.get(key) is None:
+            kwargs.pop(key, None)
+        else:
+            kwargs[key] = _read_fields(section, kwargs[key], f"{path}/{key}")
     try:
-        return cls(**doc)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(path or "/", str(exc)) from exc
+
+
+def read_config_document(doc) -> tuple[SimConfig, list[float]]:
+    """The config and the deltas of a parsed ``dagtest simulate`` document: a
+    SimConfig object that may also hold ``delta_grid``, a nonempty array of
+    finite numbers run in place of ``delta``."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError("/", "must be a JSON object")
+    doc = dict(doc)
+    grid = doc.pop("delta_grid", None)
+    if grid is None:
+        cfg = SimConfig.from_dict(doc)
+        return cfg, [cfg.delta]
+    if not (
+        isinstance(grid, list)
+        and grid
+        and all(_is_number(d) and math.isfinite(d) for d in grid)
+    ):
+        raise ConfigError("/delta_grid", "must be a nonempty array of finite numbers")
+    if "delta" in doc:
+        raise ConfigError("/delta", "must not be set together with delta_grid")
+    return SimConfig.from_dict(doc), [float(d) for d in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,36 @@ def test_cmd_batch_threads_invariant(workdir):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("alpha", ["0.05", "0.001"])
+def test_cmd_test_and_batch_agree(workdir, alpha):
+    # `test` decides at the Bonferroni threshold over one pathway, alpha/1;
+    # on a directory holding only that pathway `batch` gives the same entry.
+    # At 0.001 Hotelling (p = 0.0016) is retained and the others rejected.
+    only = workdir / "only"
+    only.mkdir()
+    shutil.copy(workdir / "pathways" / "chain.tsv", only / "chain.tsv")
+    common = ["--expression", str(workdir / "expr.csv")]
+    single, batch = workdir / "single.json", workdir / "batch.json"
+    code = main(
+        ["test", *common, "--pathway", str(only / "chain.tsv")]
+        + ["--alpha", alpha, "--out", str(single)]
+    )
+    assert code == 0
+    code = main(
+        ["batch", *common, "--pathway-dir", str(only)]
+        + ["--alpha0", alpha, "--out", str(batch)]
+    )
+    assert code == 0
+    single, batch = json.loads(single.read_text()), json.loads(batch.read_text())
+    (entry,) = batch["pathways"]
+    assert batch["bonferroni_threshold"] == single["alpha"] == float(alpha)
+    assert single["pathway"] == {k: entry[k] for k in single["pathway"]}
+    for key in ("n1", "n2", "results", "errors", "decisions"):
+        assert single[key] == entry[key]
+    assert single["decisions"]["hotelling"] == (alpha == "0.05")
+    assert sum(single["decisions"].values()) == 4 + (alpha == "0.05")
+
+
 def test_cmd_batch_empty_dir_errors(workdir, capsys):
     empty = workdir / "none"
     empty.mkdir()
@@ -609,6 +639,46 @@ def test_cmd_simulate_custom_methods(tmp_path):
     lines = (out_dir / "experiment.csv").read_text().splitlines()
     methods = [line.split(",")[1] for line in lines[1:]]
     assert methods == ["t2dag_chi2", "chen_qin"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        (["test", "--alpha", "0"], None, "--alpha must lie in (0, 1)"),
+        (["test", "--alpha", "1.5"], None, "--alpha must lie in (0, 1)"),
+        (["test", "--methods", ","], None, "no methods given"),
+        (["batch", "--alpha0", "1"], None, "--alpha0 must lie in (0, 1)"),
+        (["batch", "--threads", "0"], None, "--threads must be >= 1"),
+        (["simulate", "--threads", "0"], SIM_CONFIG, "--threads must be >= 1"),
+        (
+            ["simulate"],
+            "{not json",
+            "config is not valid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)",
+        ),
+        (["simulate"], [1, 2], "config error at /: must be a JSON object"),
+        # The document is read before the methods.
+        (
+            ["simulate", "--methods", "bogus"],
+            [1, 2],
+            "config error at /: must be a JSON object",
+        ),
+    ],
+)
+def test_cli_checks_exit_2(workdir, capsys, command, doc, err):
+    name, argv = command[0], list(command)
+    if name == "test":
+        argv += ["--pathway", str(workdir / "pathways" / "chain.tsv")]
+    elif name == "batch":
+        argv += ["--pathway-dir", str(workdir / "pathways")]
+    if name == "simulate":
+        cfg = workdir / "cfg.json"
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv += ["--config", str(cfg), "--out", str(workdir / "sim")]
+    else:
+        argv += ["--expression", str(workdir / "expr.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,15 @@ def test_from_edges_parent_sets_and_counts():
     for derived in ("topo_order", "parent_sets"):
         with pytest.raises(TypeError):
             PathwayDag(p=5, edges=dag.edges, node_labels=None, **{derived: ()})
+    # A dag with edge signs hashes; equality still compares the signs.
+    signed = [
+        PathwayDag.from_edges([(0, 1)], 2, edge_signs={(0, 1): sign})
+        for sign in ("+", "+", "-")
+    ]
+    assert hash(signed[0]) == hash(signed[1])
+    assert signed[0] == signed[1]
+    assert signed[0] != signed[2]
+    assert len(set(signed)) == 2
 
 
 def test_from_edges_rejects_self_loop_and_range():
