@@ -1,10 +1,14 @@
 """Exception types shared across the library.
 
 Every error raised on purpose by this package derives from :class:`DagTestError`,
-so callers (and the CLI) can catch one base class and report cleanly.
+so callers (and the CLI) can catch one base class and report cleanly. The
+number rules that config checks apply before raising a :class:`ConfigError`
+live here too, so that every module holding a config section can use them.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class DagTestError(Exception):
@@ -124,3 +128,13 @@ class ConfigError(DagTestError):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
+
+
+# JSON reads true and false as Python bools, which are ints; a config field
+# takes neither as a number.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -20,7 +20,10 @@ Baselines:
       Z   = M / √(2·τ²·(n+1)/n · B²),
 
   upper-tail standard-normal p-value (the statistic is negative-shifted under
-  exact null data, so only large positive values are evidence).
+  exact null data, so only large positive values are evidence). Both traces
+  come from the sample's pooled centered Gram, formed on its smaller side:
+  CᵀC (p × p) and CCᵀ (N × N, N = n1+n2) share their trace and Frobenius
+  norm, so when p ≫ N the statistic costs O(N²p), not O(Np²).
 * Chen–Qin: sum of within-group mean cross-products minus twice the
   cross-group mean product,
 
@@ -216,6 +219,7 @@ def _hotelling_factor(sample: GroupedSample, dag):
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
+    # n > p + 1 here, so the Gram is formed on its p × p side.
     pooled = sample.gram / (n - 1)
     try:
         return cho_factor(pooled, check_finite=False)
@@ -249,7 +253,8 @@ def _check_group_sizes(sample: GroupedSample, dag=None) -> None:
 
 
 def _bai_saranadasa_traces(sample: GroupedSample, dag) -> tuple[float, float]:
-    """(tr S_n, the null standard deviation of M) from the pooled Gram."""
+    """(tr S_n, the null standard deviation of M) from the pooled Gram G:
+    tr S_n = tr G / n and tr S_n² = ‖G‖²_F / n² on either side of G."""
     _check_group_sizes(sample)
     n1, n2 = sample.n1, sample.n2
     n = n1 + n2 - 2

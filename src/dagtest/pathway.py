@@ -16,16 +16,20 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CycleDetected,
     DuplicateEdge,
     InsufficientNonEdges,
     MalformedLine,
     SelfLoop,
+    _is_number,
 )
 
 Edge = tuple[int, int]
@@ -46,6 +50,10 @@ class PathwayDag:
 
     The graph is its edges: the topological order and the parent sets are
     derived from ``p`` and ``edges`` on construction and cannot be passed in.
+    The fit plan (``in_degrees``, ``parent_groups``, ``support``) and the
+    counts built on it are derived from them on first use, once per dag; they
+    are not fields, so equality, hashing and the repr ignore them. Their
+    arrays are read-only, so threads can share a dag.
 
     Attributes:
         p: number of nodes (genes).
@@ -111,25 +119,63 @@ class PathwayDag:
             self, "parent_sets", tuple(tuple(sorted(s)) for s in parents)
         )
 
-    # -- derived counts ------------------------------------------------------
+    # -- derived on first use -------------------------------------------------
+
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """Parent-set size per topological position; read-only."""
+        return _read_only(np.fromiter(map(len, self.parent_sets), np.intp, self.p))
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(parent positions, child positions) of every edge, read-only, in
+        the order of ``parent_sets``: by child, then by parent."""
+        parents = chain.from_iterable(self.parent_sets)
+        return (
+            _read_only(np.fromiter(parents, np.intp, self.n_edges)),
+            _read_only(np.repeat(np.arange(self.p), self.in_degrees)),
+        )
+
+    @cached_property
+    def parent_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{k: (positions, parents)} over the parent counts k, in order of
+        first appearance: ``positions`` (m,) are the ascending positions with
+        k parents and row i of ``parents`` (m, k) is the parent set of
+        ``positions[i]``. Read-only; ``fit_sem`` fits one group per call."""
+        parent_sets = self.parent_sets
+        groups: dict[int, list[int]] = {}
+        for pos, parents in enumerate(parent_sets):
+            groups.setdefault(len(parents), []).append(pos)
+        return {
+            k: (
+                _read_only(np.array(positions, np.intp)),
+                _read_only(np.array([parent_sets[pos] for pos in positions], np.intp)),
+            )
+            for k, positions in groups.items()
+        }
 
     @property
     def n_edges(self) -> int:
         """Ne, the number of directed edges."""
         return len(self.edges)
 
-    @property
+    @cached_property
     def n_children(self) -> int:
         """p0, the number of nodes with at least one parent."""
-        return sum(1 for s in self.parent_sets if s)
+        return int(np.count_nonzero(self.in_degrees))
 
-    @property
+    @cached_property
     def max_in_degree(self) -> int:
         """d, the largest parent-set size."""
-        return max((len(s) for s in self.parent_sets), default=0)
+        return int(self.in_degrees.max(initial=0))
 
     def label_of(self, node: int) -> str:
         return self.node_labels[node] if self.node_labels else str(node)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +313,10 @@ class EdgePerturbation:
             non-edges, so the result remains a DAG).
         fraction: fraction of the current edge count to change, in [0, 1).
         seed: reproducibility token; None draws fresh entropy.
+
+    Raises:
+        ConfigError: at ``/perturbation/mode`` or ``/perturbation/fraction``,
+            the paths of these fields in a simulation config.
     """
 
     mode: str = "none"
@@ -275,11 +325,9 @@ class EdgePerturbation:
 
     def __post_init__(self):
         if self.mode not in ("none", "missing", "redundant"):
-            raise ValueError(f"unknown perturbation mode {self.mode!r}")
-        if isinstance(self.fraction, bool) or not (
-            isinstance(self.fraction, (int, float)) and 0.0 <= self.fraction < 1.0
-        ):
-            raise ValueError("fraction must lie in [0, 1)")
+            raise ConfigError("/perturbation/mode", f"unknown mode {self.mode!r}")
+        if not (_is_number(self.fraction) and 0.0 <= self.fraction < 1.0):
+            raise ConfigError("/perturbation/fraction", "must lie in [0, 1)")
         # A JSON config may give an integer; reports echo it as a float.
         object.__setattr__(self, "fraction", float(self.fraction))
 

@@ -8,11 +8,12 @@ centering each group at its own mean, which is algebraically identical and
 costs O(np) instead of forming an n×n projector.
 
 One kernel, ``_fit_columns``, does every node fit. ``fit_sem`` calls it once
-per parent count, on the stack of all nodes with that count: no parents
-leaves the centered column, one parent is a vectorized simple regression, and
-two or more go through one stacked SVD. ``fit_node`` is the same kernel on a
-single node. Errors are reported as a node-by-node sweep in topological order
-would meet them first.
+per parent count, on the stack of all nodes with that count, as the dag's
+``parent_groups`` (derived once per dag) lists them: no parents leaves the
+centered column, one parent is a vectorized simple regression, and two or
+more go through one stacked SVD. ``fit_node`` is the same kernel on a single
+node. Errors are reported as a node-by-node sweep in topological order would
+meet them first.
 
 Everything in this module indexes nodes by *topological position*; `fit_sem`
 translates from the original column order at entry.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -139,13 +139,17 @@ class GroupedSample:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Pooled centered Gram matrix XcᵀXc (p × p), with Xc = ``centered``.
+        """Pooled centered Gram matrix, formed on its smaller side: XcᵀXc
+        (p × p) when p ≤ n, else XcXcᵀ (n × n), with Xc = ``centered``.
 
-        Hotelling and Bai–Saranadasa read the data only through this matrix
-        and the group means. Read-only, because it is shared.
+        Both sides share their trace and Frobenius norm, which is all that
+        Bai–Saranadasa reads. Hotelling needs the p × p matrix and runs only
+        when p < n − 1, where that is the smaller side. These two read the
+        data only through this matrix and the group means. Read-only,
+        because it is shared.
         """
         centered = self.centered
-        out = centered.T @ centered
+        out = centered @ centered.T if self.n < self.p else centered.T @ centered
         out.flags.writeable = False
         return out
 
@@ -412,12 +416,7 @@ class SemEstimate:
             object.__setattr__(self, "dof", dof)
             if theta.shape != (p, 2) or dof.shape != (p,):
                 raise ValueError("theta_hat must be p×2 and dof length p")
-        parent_sets = self.dag.parent_sets
-        sizes = np.fromiter(map(len, parent_sets), np.intp, p)
-        inside = Q[
-            np.fromiter(chain.from_iterable(parent_sets), np.intp, sizes.sum()),
-            np.repeat(np.arange(p), sizes),
-        ]
+        inside = Q[self.dag.support]
         # Nonzero (NaN included) entries off the parent sets; the lower
         # triangle lies entirely off them.
         if np.count_nonzero(Q != 0.0) != np.count_nonzero(inside != 0.0):
@@ -452,24 +451,23 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
     sample._check_range(dag)
     p, n = dag.p, sample.n
-    order = list(dag.topo_order)
     # Row i holds the fit column of the node in position i.
-    rows = sample._fit_rows.T[order]
-    parent_sets = dag.parent_sets
-    sizes = [len(parents) for parents in parent_sets]
-    limit = next((pos for pos, k in enumerate(sizes) if n - k - 4 < 1), p)
-    groups: dict[int, list[int]] = {}
-    for pos in range(limit):
-        groups.setdefault(sizes[pos], []).append(pos)
+    rows = sample._fit_rows.T[list(dag.topo_order)]
+    sizes = dag.in_degrees
+    short = np.flatnonzero(sizes > n - 5)
+    limit = int(short[0]) if short.size else p
     Q = np.zeros((p, p))
     R = np.zeros(p)
     adjusted = np.zeros((p, 2))
-    dof = np.array([n - k - 4 for k in sizes])
+    dof = n - sizes - 4
     failures: dict[int, RankDeficientDesign] = {}
-    for k, nodes in groups.items():
-        nodes = np.array(nodes)
-        P = np.array([parent_sets[pos] for pos in nodes], dtype=np.intp)
-        P = P.reshape(len(nodes), k)
+    for k, (nodes, P) in dag.parent_groups.items():
+        if limit < p:
+            # Cut the plan at the first position short of samples (dof < 1).
+            m = int(np.searchsorted(nodes, limit))
+            if m == 0:
+                continue
+            nodes, P = nodes[:m], P[:m]
         q, adjusted[nodes], rss, failed = _fit_columns(
             rows[nodes], rows[P].transpose(0, 2, 1), nodes
         )
@@ -489,7 +487,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
                 f"node {label}: exact fit, residual variance estimate is 0"
             )
         else:
-            exc = _too_few_samples(n, sizes[first], first)
+            exc = _too_few_samples(n, int(sizes[first]), first)
         raise type(exc)(f"node {label}: {exc}") from exc
     theta = np.column_stack((adjusted[:, 1], adjusted[:, 0] - adjusted[:, 1]))
     return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, theta_hat=theta, dof=dof)

@@ -12,7 +12,6 @@ independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -21,7 +20,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.special import betaincinv
 
 from .divergence import PopulationModel
-from .errors import ConfigError, DagTestError
+from .errors import ConfigError, DagTestError, _is_int, _is_number
 from .mean_tests import finish_methods, map_in_order, method_families, prepare_methods
 from .pathway import EdgePerturbation, PathwayDag, perturb_edges, round_half_up
 from .sem import GroupedSample
@@ -53,16 +52,6 @@ def _as_generator(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-# JSON reads true and false as Python bools, which are ints; a config field
-# takes neither as a number.
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class ConfounderConfig:

@@ -609,6 +609,8 @@ def test_cmd_simulate_reports_config_errors(tmp_path, capsys):
         ({"delta_grid": [True, False]}, "/delta_grid"),
         ({"kappa": "1.5"}, "/kappa"),
         ({"alpha": None}, "/alpha"),
+        ({"perturbation": {"mode": "sideways"}}, "/perturbation/mode"),
+        ({"perturbation": {"mode": "missing", "fraction": 1.5}}, "/perturbation/fraction"),
     ],
 )
 def test_cmd_simulate_config_errors_exit_2(tmp_path, capsys, patch, path):

@@ -15,6 +15,7 @@ from dagtest.errors import (
     DimensionTooLarge,
     EmptyList,
     InsufficientSamples,
+    SingularCovariance,
 )
 from dagtest import mean_tests
 from dagtest.mean_tests import (
@@ -308,6 +309,44 @@ def test_bai_saranadasa_matches_oracle():
         assert_allclose(
             res.p_value, stats.norm.sf(res.statistic), rtol=1e-12
         )
+
+
+def test_bai_saranadasa_wide_sample_matches_dense_reference():
+    # p > n: the pooled Gram is formed on its n × n side. The reference
+    # centers the shifted rows itself and squares the p × p covariance.
+    rng = np.random.default_rng(58)
+    n1 = n2 = 6
+    p = 50
+    for _ in range(5):
+        X1 = rng.normal(size=(n1, p)) + 8.0
+        X2 = rng.normal(size=(n2, p)) + 8.0
+        X1[:, :10] += 1.0
+        sample = GroupedSample.from_groups(X1, X2)
+        assert sample.gram.shape == (n1 + n2, n1 + n2)
+        C = np.vstack([X1 - X1.mean(axis=0), X2 - X2.mean(axis=0)])
+        n = n1 + n2 - 2
+        tau = 1 / n1 + 1 / n2
+        S = C.T @ C / n
+        d = X1.mean(axis=0) - X2.mean(axis=0)
+        tr_s, tr_s2 = np.trace(S), np.trace(S @ S)
+        b2 = n**2 / ((n + 2) * (n - 1)) * (tr_s2 - tr_s**2 / n)
+        want = (d @ d - tau * tr_s) / math.sqrt(2 * tau**2 * (n + 1) / n * b2)
+        got = baseline(sample, "bai_saranadasa").statistic
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [4, 50])
+def test_bai_saranadasa_failures_on_either_side_of_the_gram(p):
+    rng = np.random.default_rng(59)
+    with pytest.raises(InsufficientSamples, match="at least 3 samples per group"):
+        baseline(random_sample(rng, 2, 9, p, shift=8.0), "bai_saranadasa")
+    # Groups constant in every column: the centered rows are 0.
+    sample = GroupedSample.from_groups(np.full((6, p), 8.0), np.full((6, p), 9.0))
+    with pytest.raises(
+        SingularCovariance,
+        match="variance estimate of the mean-norm statistic is not positive",
+    ):
+        baseline(sample, "bai_saranadasa")
 
 
 def test_chen_qin_matches_pairwise_loop_oracle():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dagtest.errors import (
+    ConfigError,
     CycleDetected,
     DuplicateEdge,
     InsufficientNonEdges,
@@ -171,6 +172,46 @@ def test_from_edges_parent_sets_and_counts():
     assert len(set(signed)) == 2
 
 
+def test_fit_plan_matches_parent_sets_and_is_read_only():
+    # Shuffled labels, so positions and original indices differ.
+    rng = np.random.default_rng(7)
+    order = rng.permutation(12)
+    edges = [
+        (int(order[i]), int(order[k]))
+        for k in range(1, 12)
+        for i in rng.choice(k, size=min(k, int(rng.integers(0, 4))), replace=False)
+    ]
+    for dag in (
+        PathwayDag.from_edges(edges, p=12),
+        PathwayDag.from_edges([], p=3),
+        PathwayDag.from_edges([], p=0),
+    ):
+        sizes = [len(s) for s in dag.parent_sets]
+        assert dag.in_degrees.tolist() == sizes
+        parents, children = dag.support
+        assert list(zip(children.tolist(), parents.tolist())) == [
+            (k, j) for k, s in enumerate(dag.parent_sets) for j in s
+        ]
+        # Groups in order of first appearance, positions ascending.
+        assert list(dag.parent_groups) == list(dict.fromkeys(sizes))
+        for k, (positions, block) in dag.parent_groups.items():
+            assert positions.tolist() == [i for i, m in enumerate(sizes) if m == k]
+            assert block.shape == (len(positions), k)
+            assert [tuple(row) for row in block.tolist()] == [
+                dag.parent_sets[i] for i in positions.tolist()
+            ]
+        assert dag.n_children == sum(1 for m in sizes if m)
+        assert dag.max_in_degree == max(sizes, default=0)
+        assert type(dag.n_children) is int and type(dag.max_in_degree) is int
+        arrays = [dag.in_degrees, *dag.support]
+        arrays += [a for group in dag.parent_groups.values() for a in group]
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
 def test_from_edges_rejects_self_loop_and_range():
     with pytest.raises(SelfLoop):
         PathwayDag.from_edges([(1, 1)], p=3)
@@ -279,12 +320,14 @@ def test_perturb_seed_reproducible():
 
 
 def test_perturbation_validation():
-    with pytest.raises(ValueError):
+    # Each field fails at its own path in a simulation config.
+    with pytest.raises(ConfigError) as err:
         EdgePerturbation("typo", 0.1)
-    with pytest.raises(ValueError):
-        EdgePerturbation("missing", 1.0)
-    with pytest.raises(ValueError):
-        EdgePerturbation("missing", "0.1")
+    assert err.value.path == "/perturbation/mode"
+    for fraction in (1.0, "0.1", True):
+        with pytest.raises(ConfigError) as err:
+            EdgePerturbation("missing", fraction)
+        assert err.value.path == "/perturbation/fraction"
     back = EdgePerturbation(**EdgePerturbation("redundant", 0.4, seed=3).to_dict())
     assert back == EdgePerturbation("redundant", 0.4, seed=3)
 

@@ -393,6 +393,47 @@ def test_fit_sem_matches_pinv_oracle_on_mixed_parent_counts():
         assert est.dof.tolist() == dof.tolist()
 
 
+def test_fit_sem_on_one_dag_matches_a_fresh_dag_per_sample():
+    # A dag derives its fit plan once; fitting it on sample after sample,
+    # one of them too small for its 4-parent nodes (which cuts the plan
+    # short), gives the bits and errors of a freshly built equal dag.
+    rng = np.random.default_rng(27)
+    labels = [f"G{i}" for i in range(24)]
+    dag = PathwayDag.from_edges(_mixed_dag(rng, 24).edges, p=24, labels=labels)
+    assert dag.max_in_degree == 4
+    for n1, n2 in ((12, 12), (4, 4), (9, 7), (4, 4), (20, 15)):
+        X = rng.normal(size=(n1 + n2, 24))
+        sample = GroupedSample.from_groups(X[:n1], X[n1:])
+        fresh = PathwayDag.from_edges(dag.edges, p=24, labels=labels)
+        if n1 + n2 == 8:
+            messages = []
+            for d in (dag, fresh):
+                with pytest.raises(InsufficientSamples) as err:
+                    fit_sem(sample, d)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert messages[0] == _sequential_failure(sample, dag)[1]
+            continue
+        got, want = fit_sem(sample, dag), fit_sem(sample, fresh)
+        for name in ("Q_hat", "R_hat", "theta_hat", "dof"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_fitting_leaves_dag_equality_hash_and_repr_alone():
+    rng = np.random.default_rng(28)
+    a, b = (
+        PathwayDag.from_edges([(0, 2), (1, 2), (2, 3)], p=4, labels="ABCD")
+        for _ in range(2)
+    )
+    before = (hash(a), repr(a))
+    sample = random_sample(rng, 6, 6, 4)
+    fit_sem(sample, a)
+    assert a == b and (hash(a), repr(a)) == (hash(b), repr(b)) == before
+    fit_sem(sample, b)
+    assert a == b and (hash(a), repr(a)) == (hash(b), repr(b)) == before
+    assert len({a, b}) == 1
+
+
 def _sequential_failure(sample, dag):
     """(exception type, message) of the first failure of a node-by-node
     sweep in topological order, or None."""

@@ -306,7 +306,7 @@ def test_sim_config_dict_round_trip():
         ({"confounders": 5}, "/confounders"),
         ({"perturbation": {"mode": "missing", "seed": "abc"}}, "/perturbation/seed"),
         ({"perturbation": {"mode": "missing", "seed": -1}}, "/perturbation/seed"),
-        ({"perturbation": {"mode": "missing", "fraction": "x"}}, "/perturbation"),
+        ({"perturbation": {"mode": "missing", "fraction": "x"}}, "/perturbation/fraction"),
         ({"confounders": {"count": 1.5}}, "/confounders/count"),
         # JSON true and false are Python bools, which are ints.
         ({"seed": True}, "/seed"),
@@ -316,12 +316,13 @@ def test_sim_config_dict_round_trip():
         ({"confounders": {"count": True}}, "/confounders/count"),
         ({"confounders": {"c_density": True}}, "/confounders/c_density"),
         ({"perturbation": {"mode": "missing", "seed": True}}, "/perturbation/seed"),
-        ({"perturbation": {"mode": "missing", "fraction": False}}, "/perturbation"),
+        ({"perturbation": {"mode": "missing", "fraction": False}}, "/perturbation/fraction"),
         # A value of the wrong JSON type fails at its own path.
         ({"kappa": "1.5"}, "/kappa"),
         ({"alpha": None}, "/alpha"),
         ({"p0_fraction": [0.5]}, "/p0_fraction"),
         ({"confounders": {"c_scale": "1"}}, "/confounders/c_scale"),
+        ({"perturbation": {"mode": "sideways"}}, "/perturbation/mode"),
     ],
 )
 def test_sim_config_validation_paths(patch, path):
