@@ -32,10 +32,8 @@ _EXPORTS = {
     ),
     "mean_tests": (
         "METHODS",
-        "BonferroniResult",
         "TestResult",
         "baseline",
-        "bonferroni_adjust",
         "hotelling",
         "reference_p_value",
         "run_methods",

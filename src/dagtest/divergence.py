@@ -16,7 +16,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import SingularSubmatrix, ZeroResidualVariance
 from .pathway import PathwayDag
-from .sem import sem_covariance
+from .sem import _precision_form, sem_covariance
 
 __all__ = [
     "PopulationModel",
@@ -79,12 +79,11 @@ class PopulationModel:
 def kl_divergence(model: PopulationModel) -> float:
     """δ_μᵀ (I−Q) R⁻¹ (I−Q)ᵀ δ_μ — the Gaussian KL separation of the groups.
 
-    Evaluated through the triangular factor: with v = (I−Q)ᵀδ_μ the value is
-    Σ_k v_k²/r_k, so no matrix inverse is formed.
+    Evaluated through the triangular factor, Σ_k ((δ_μ − Qᵀδ_μ)_k)²/r_k, by
+    the same arithmetic as the ``t2dag`` statistic: at the fitted model
+    (x̄⁽¹⁾, x̄⁽²⁾, Q̂, R̂), N times this value is that statistic, bit for bit.
     """
-    delta = model.mean_shift
-    v = delta - model.Q.T @ delta
-    return float(np.sum(v * v / model.R))
+    return _precision_form(model.mean_shift, model.Q, model.R)
 
 
 def dag_divergence(model: PopulationModel, dag: PathwayDag) -> float:

@@ -92,10 +92,6 @@ class SingularSubmatrix(DagTestError):
     """A parent-set principal submatrix of the covariance is singular."""
 
 
-class EmptyList(DagTestError):
-    """An operation requiring a nonempty collection received an empty one."""
-
-
 # ---------------------------------------------------------------------------
 # Data ingestion and configuration
 # ---------------------------------------------------------------------------

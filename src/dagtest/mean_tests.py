@@ -61,12 +61,11 @@ from scipy.special import chdtrc, fdtrc, ndtr
 from .errors import (
     DagTestError,
     DimensionTooLarge,
-    EmptyList,
     InsufficientSamples,
     SingularCovariance,
 )
 from .pathway import PathwayDag
-from .sem import GroupedSample, SemEstimate, fit_sem
+from .sem import GroupedSample, SemEstimate, _precision_form, fit_sem
 
 
 def reference_p_value(statistic: float, reference: Mapping) -> float:
@@ -175,15 +174,14 @@ def t2dag(
     Raises:
         ValueOutOfRange: some value of the sample is out of range.
     """
-    pair = _run("t2dag", sample, dag, estimate)
+    pair = _run("t2dag", sample, dag, _UNPREPARED if estimate is None else estimate)
     return pair["t2dag_chi2"], pair["t2dag_z"]
 
 
 def _t2dag_pair(est: SemEstimate, sample: GroupedSample, dag: PathwayDag) -> dict:
     p = dag.p
     d = sample.mean_diff[list(dag.topo_order)]
-    y = d - est.Q_hat.T @ d
-    chi2_stat = sample.effective_n * float(np.sum(y * y / est.R_hat))
+    chi2_stat = sample.effective_n * _precision_form(d, est.Q_hat, est.R_hat)
     z_stat = (chi2_stat - p) / math.sqrt(2.0 * p)
     meta = _meta(sample, dag)
     chi2_reference = {"family": "chi_squared", "df": p, "tail": "upper"}
@@ -366,13 +364,18 @@ _FAMILIES = {
 METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.methods)
 
 
-def _run(family: str, sample: GroupedSample, dag, state=None) -> dict:
+# The state of a family whose delta-free part has not run. None cannot mark
+# it: None is Chen–Qin's state.
+_UNPREPARED = object()
+
+
+def _run(family: str, sample: GroupedSample, dag, state=_UNPREPARED) -> dict:
     """{method: result} of one family on one sample: the range check, then
     the delta-free part unless ``state`` holds its outcome (a DagTestError
     is raised), then the per-delta part."""
     sample._check_range(dag)
     entry = _FAMILIES[family]
-    if state is None:
+    if state is _UNPREPARED:
         state = entry.prepare(sample, dag)
     elif isinstance(state, DagTestError):
         raise state
@@ -428,7 +431,7 @@ def finish_methods(
     """
     outcomes: dict = {}
     for family in method_families(methods):
-        state = None if states is None else states[family]
+        state = _UNPREPARED if states is None else states[family]
         try:
             outcomes.update(_run(family, sample, dag, state))
         except DagTestError as exc:
@@ -465,34 +468,3 @@ def map_in_order(fn: Callable, items: Iterable, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-# ---------------------------------------------------------------------------
-# Multiplicity
-# ---------------------------------------------------------------------------
-
-class BonferroniResult(NamedTuple):
-    threshold: float
-    decisions: tuple[bool, ...]
-
-
-def bonferroni_adjust(
-    p_values: Sequence[float | None], alpha0: float
-) -> BonferroniResult:
-    """Family-wise error control across H tests: reject iff p ≤ alpha0/H.
-
-    A test that gave no p-value (None) counts toward H and is not rejected.
-
-    Raises:
-        EmptyList: no p-values supplied.
-    """
-    if not (0.0 < alpha0 < 1.0):
-        raise ValueError("alpha0 must lie in (0, 1)")
-    values = list(p_values)
-    if not values:
-        raise EmptyList("no p-values to adjust")
-    threshold = alpha0 / len(values)
-    return BonferroniResult(
-        threshold=threshold,
-        decisions=tuple(pv is not None and pv <= threshold for pv in values),
-    )

@@ -29,6 +29,7 @@ from .errors import (
     InsufficientNonEdges,
     MalformedLine,
     SelfLoop,
+    _is_int,
     _is_number,
 )
 
@@ -312,11 +313,12 @@ class EdgePerturbation:
         mode: "none", "missing" (delete edges), or "redundant" (add forward
             non-edges, so the result remains a DAG).
         fraction: fraction of the current edge count to change, in [0, 1).
-        seed: reproducibility token; None draws fresh entropy.
+        seed: None, which draws fresh entropy, or a nonnegative integer.
 
     Raises:
-        ConfigError: at ``/perturbation/mode`` or ``/perturbation/fraction``,
-            the paths of these fields in a simulation config.
+        ConfigError: at ``/perturbation/mode``, ``/perturbation/fraction`` or
+            ``/perturbation/seed``, the paths of these fields in a simulation
+            config.
     """
 
     mode: str = "none"
@@ -328,6 +330,10 @@ class EdgePerturbation:
             raise ConfigError("/perturbation/mode", f"unknown mode {self.mode!r}")
         if not (_is_number(self.fraction) and 0.0 <= self.fraction < 1.0):
             raise ConfigError("/perturbation/fraction", "must lie in [0, 1)")
+        if not (self.seed is None or (_is_int(self.seed) and self.seed >= 0)):
+            raise ConfigError(
+                "/perturbation/seed", "null or nonnegative integer required"
+            )
         # A JSON config may give an integer; reports echo it as a float.
         object.__setattr__(self, "fraction", float(self.fraction))
 

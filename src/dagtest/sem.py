@@ -22,7 +22,7 @@ translates from the original column order at entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -195,9 +195,7 @@ class GroupedSample:
             )
 
     def reorder_columns(self, order: Sequence[int]) -> "GroupedSample":
-        return GroupedSample(
-            X=self.X[:, list(order)], g=self.g, n1=self.n1, n2=self.n2
-        )
+        return replace(self, X=self.X[:, list(order)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +210,7 @@ class NodeFit:
         r_hat: residual variance with denominator n1+n2−|S_j|−4; this
             unusual denominator is what makes the *inverse* estimate unbiased,
             which is the quantity the test statistic consumes.
-        dof: that denominator, kept for audit and serialization.
+        dof: that denominator.
     """
 
     j: int
@@ -505,6 +503,13 @@ def sem_precision(Q: np.ndarray, R: np.ndarray) -> np.ndarray:
         raise ZeroResidualVariance("all residual variances must be positive")
     B = np.eye(Q.shape[0]) - Q
     return (B / R[np.newaxis, :]) @ B.T
+
+
+def _precision_form(v: np.ndarray, Q: np.ndarray, R: np.ndarray) -> float:
+    """vᵀ(I−Q)·diag(R)⁻¹·(I−Q)ᵀv, evaluated as Σ_k ((v − Qᵀv)_k)²/r_k from
+    one matrix-vector product: no precision matrix or inverse is formed."""
+    y = v - Q.T @ v
+    return float(np.sum(y * y / R))
 
 
 def sem_covariance(Q: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -57,27 +57,21 @@ def _as_generator(seed) -> np.random.Generator:
 class ConfounderConfig:
     """Latent-confounder settings for dataset generation.
 
-    ``sigma_w_rule`` currently admits one rule, "inverse_max_abs_q":
-    each confounder is N(0, σ_w²) with σ_w² = 0.2²/max_{ij}|Q_ij|. Each of the
-    ``count`` rows of the loading matrix C has round(c_density·p) nonzero
-    entries drawn N(0, c_scale²); c_scale defaults to √0.2 ≈ 0.447, reading
+    Each of the ``count`` confounders is N(0, σ_w²) with the fixed variance
+    σ_w² = 0.2²/max_{ij}|Q_ij|, which no field changes. Each of the ``count``
+    rows of the loading matrix C has round(c_density·p) nonzero entries
+    drawn N(0, c_scale²); c_scale defaults to √0.2 ≈ 0.447, reading
     the loading spread as a standard deviation (exposed so the variance
     reading c_scale = 0.2 is one config edit away).
     """
 
     count: int = 2
-    sigma_w_rule: str = "inverse_max_abs_q"
     c_density: float = 0.2
     c_scale: float = math.sqrt(0.2)
 
     def __post_init__(self):
         if not (_is_int(self.count) and self.count >= 1):
             raise ConfigError("/confounders/count", "must be a positive integer")
-        if self.sigma_w_rule != "inverse_max_abs_q":
-            raise ConfigError(
-                "/confounders/sigma_w_rule",
-                f"unknown rule {self.sigma_w_rule!r}",
-            )
         if not (_is_number(self.c_density) and 0.0 < self.c_density <= 1.0):
             raise ConfigError("/confounders/c_density", "must lie in (0, 1]")
         if not (_is_number(self.c_scale) and self.c_scale > 0.0):
@@ -172,12 +166,6 @@ class SimConfig:
             "nonnegative integer required",
         )
         need(0.0 < number("alpha") < 1.0, "/alpha", "must lie in (0, 1)")
-        seed = self.perturbation.seed
-        need(
-            seed is None or (_is_int(seed) and seed >= 0),
-            "/perturbation/seed",
-            "null or nonnegative integer required",
-        )
 
     @property
     def n_children(self) -> int:
@@ -411,9 +399,9 @@ def _draw(
     X = dtrsm(1.0, np.eye(p) - Q.T, noise.T, lower=1, diag=1).T
     used_dag = true_dag
     if cfg.perturbation.mode != "none":
-        if cfg.perturbation.seed is not None:
-            pert_rng = np.random.default_rng(cfg.perturbation.seed)
-        else:
+        # A perturbation with a seed of its own draws from that seed.
+        pert_rng = None
+        if cfg.perturbation.seed is None:
             pert_rng = stream_rng(cfg.seed, replicate, _PERTURBATION)
         used_dag = perturb_edges(true_dag, cfg.perturbation, rng=pert_rng)
     return X, true_dag, used_dag, Q, R

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dagtest.cli import main
+from dagtest.cli import _decide, main
 from dagtest.mean_tests import METHODS
 
 EXPRESSION = """\
@@ -241,11 +241,61 @@ def test_cmd_batch_bonferroni_over_analyzed_pathways(workdir):
     broken = report["pathways"][0]
     assert broken["results"] == [] and broken["errors"]
     for entry in report["pathways"]:
-        assert "wall_clock_s" in entry
+        # Reports hold no timings, so their bytes are reproducible.
+        assert "wall_clock_s" not in entry
         for r in entry["results"]:
             assert entry["decisions"][r["method"]] == (
                 r["p_value"] <= report["bonferroni_threshold"]
             )
+
+
+def test_cmd_batch_failed_method_counts_toward_h(tmp_path):
+    # On "wide" p = 8 >= n - 1 = 7, so Hotelling fails and the other methods
+    # give results: the pathway counts toward H, with no Hotelling decision.
+    rng = np.random.default_rng(4)
+    genes = [f"G{j}" for j in range(8)]
+    rows = [",".join(["sample", *genes, "group"])]
+    for i, values in enumerate(rng.normal(size=(8, 8)).round(4).tolist()):
+        rows.append(",".join([f"s{i}", *map(repr, values), "1" if i < 4 else "2"]))
+    (tmp_path / "expr.csv").write_text("\n".join(rows) + "\n")
+    pw_dir = tmp_path / "pathways"
+    pw_dir.mkdir()
+    (pw_dir / "wide.tsv").write_text(
+        "".join(f"{a}\t{b}\n" for a, b in zip(genes, genes[1:]))
+    )
+    (pw_dir / "narrow.tsv").write_text("G0\tG1\nG1\tG2\n")
+    (pw_dir / "broken.tsv").write_text("G0 G1 no tabs\n")
+    out = tmp_path / "batch.json"
+    args = ["batch", "--expression", str(tmp_path / "expr.csv")]
+    assert main(args + ["--pathway-dir", str(pw_dir), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_analyzed"] == 2
+    assert report["bonferroni_threshold"] == 0.05 / 2
+    broken, narrow, wide = report["pathways"]
+    assert broken["results"] == [] and broken["decisions"] == {}
+    assert list(narrow["decisions"]) == list(METHODS)
+    assert [line.split(":")[0] for line in wide["errors"]] == ["hotelling"]
+    assert list(wide["decisions"]) == [m for m in METHODS if m != "hotelling"]
+
+
+def test_decide_counts_only_pathways_with_results():
+    # A pathway with no result is out of the family; one whose methods
+    # partly failed is in it, and decides only the methods that gave results.
+    def entry(*p_values):
+        results = [{"method": f"m{k}", "p_value": pv} for k, pv in enumerate(p_values)]
+        return {"results": results}
+
+    entries = [entry(0.001, 0.03), entry(), entry(0.02)]
+    assert _decide(entries, 0.05) == 0.05 / 2
+    assert [e["decisions"] for e in entries] == [
+        {"m0": True, "m1": False},
+        {},
+        {"m0": True},
+    ]
+    # With no result anywhere, H = 0 and there is no threshold.
+    entries = [entry(), entry()]
+    assert _decide(entries, 0.05) is None
+    assert [e["decisions"] for e in entries] == [{}, {}]
 
 
 def test_cmd_batch_threads_invariant(workdir):
@@ -266,10 +316,7 @@ def test_cmd_batch_threads_invariant(workdir):
             ]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
-        for entry in doc["pathways"]:
-            entry.pop("wall_clock_s")
-        reports.append(doc)
+        reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
 
@@ -828,6 +875,5 @@ def test_batch_report_bytes_do_not_depend_on_blas_threads(tmp_path):
             env=child_env(**blas),
         )
         assert proc.returncode == 0, proc.stderr
-        lines = out.read_text().splitlines()
-        reports.append([line for line in lines if '"wall_clock_s"' not in line])
+        reports.append(out.read_bytes())
     assert reports[0] == reports[1]

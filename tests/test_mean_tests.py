@@ -13,7 +13,6 @@ from scipy.linalg import solve_triangular
 from dagtest.errors import (
     DagTestError,
     DimensionTooLarge,
-    EmptyList,
     InsufficientSamples,
     SingularCovariance,
 )
@@ -21,7 +20,6 @@ from dagtest import mean_tests
 from dagtest.mean_tests import (
     METHODS,
     baseline,
-    bonferroni_adjust,
     hotelling,
     reference_p_value,
     t2dag,
@@ -414,45 +412,6 @@ def test_baselines_power_above_level():
 
 
 # ---------------------------------------------------------------------------
-# bonferroni
-# ---------------------------------------------------------------------------
-
-def test_bonferroni_threshold_and_decisions():
-    p_values = [0.05 / 206 * 0.9, 0.01, 0.9]
-    out = bonferroni_adjust(p_values + [0.5] * 203, alpha0=0.05)
-    assert_allclose(out.threshold, 0.05 / 206, rtol=1e-15)
-    assert out.decisions[0] is True
-    assert out.decisions[1] is False
-    assert sum(out.decisions) == 1
-
-
-def test_bonferroni_single_test_uses_alpha0():
-    out = bonferroni_adjust([0.04], alpha0=0.05)
-    assert out.threshold == 0.05
-    assert list(out.decisions) == [True]
-
-
-def test_bonferroni_all_ones_never_rejects():
-    out = bonferroni_adjust([1.0] * 12, alpha0=0.05)
-    assert not any(out.decisions)
-
-
-def test_bonferroni_missing_p_value_counts_toward_h():
-    out = bonferroni_adjust([0.001, None, 0.02], alpha0=0.05)
-    assert out.threshold == 0.05 / 3
-    assert out.decisions == (True, False, False)
-
-
-def test_bonferroni_validation():
-    with pytest.raises(EmptyList):
-        bonferroni_adjust([], alpha0=0.05)
-    with pytest.raises(ValueError):
-        bonferroni_adjust([0.5], alpha0=0.0)
-    with pytest.raises(ValueError):
-        bonferroni_adjust([0.5], alpha0=1.0)
-
-
-# ---------------------------------------------------------------------------
 # TestResult / reference_p_value
 # ---------------------------------------------------------------------------
 
@@ -684,6 +643,29 @@ def test_out_of_range_sample_prepares_no_state():
         for method in METHODS
     ]
     assert mean_tests.run_methods(sample, dag, METHODS) == (results, errors)
+
+
+def test_finish_methods_reruns_no_delta_free_part(monkeypatch):
+    # Every family's state from prepare_methods, Chen–Qin's None included,
+    # is read as that family's prepared state: no delta-free part runs again.
+    rng = np.random.default_rng(8)
+    sample = random_sample(rng, 10, 10, 4)
+    dag = chain_dag(4)
+    states = mean_tests.prepare_methods(sample, dag, METHODS)
+    expected = mean_tests.run_methods(sample, dag, METHODS)
+
+    def prepared_twice(*args):
+        raise AssertionError("the delta-free part ran again")
+
+    for family, entry in mean_tests._FAMILIES.items():
+        monkeypatch.setitem(
+            mean_tests._FAMILIES, family, entry._replace(prepare=prepared_twice)
+        )
+    results, errors = mean_tests.finish_methods(states, sample, dag, METHODS)
+    assert errors == []
+    assert [(r.method, r.statistic) for r in results] == [
+        (r.method, r.statistic) for r in expected[0]
+    ]
 
 
 def test_methods_tuple_is_stable():

@@ -328,6 +328,10 @@ def test_perturbation_validation():
         with pytest.raises(ConfigError) as err:
             EdgePerturbation("missing", fraction)
         assert err.value.path == "/perturbation/fraction"
+    for seed in (-1, True, "3", 2.5):
+        with pytest.raises(ConfigError) as err:
+            EdgePerturbation("missing", 0.2, seed=seed)
+        assert err.value.path == "/perturbation/seed"
     back = EdgePerturbation(**EdgePerturbation("redundant", 0.4, seed=3).to_dict())
     assert back == EdgePerturbation("redundant", 0.4, seed=3)
 

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dagtest.divergence import PopulationModel, kl_divergence
 from dagtest.mean_tests import METHODS, run_methods, t2dag
 from dagtest.pathway import PathwayDag, acyclic_reduction, parse_edge_document
-from dagtest.sem import GroupedSample
+from dagtest.sem import GroupedSample, fit_sem
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -55,6 +56,26 @@ def test_swapping_groups_keeps_chi2(design):
     # The groups' rows enter the fit in the other order, so sums round
     # differently.
     assert_allclose(swapped.statistic, chi2.statistic, rtol=1e-10)
+
+
+@PROPERTY
+@given(designs)
+def test_chi2_is_n_times_the_kl_divergence_of_the_fitted_model(design):
+    # chi2 is N times the Gaussian KL separation of the plug-in model
+    # (x̄⁽¹⁾, x̄⁽²⁾, Q̂, R̂), computed by the same arithmetic: equal bit for bit.
+    rng = np.random.default_rng(design["seed"])
+    p = design["p"]
+    dag = random_dag(rng, p, design["density"])
+    sample = GroupedSample.from_groups(
+        rng.normal(size=(design["n1"], p)) + 0.3, rng.normal(size=(design["n2"], p))
+    )
+    est = fit_sem(sample, dag)
+    topo = list(dag.topo_order)
+    model = PopulationModel(
+        mu1=sample.means[0][topo], mu2=sample.means[1][topo], Q=est.Q_hat, R=est.R_hat
+    )
+    chi2, _ = t2dag(sample, dag)
+    assert chi2.statistic == sample.effective_n * kl_divergence(model)
 
 
 @PROPERTY
