@@ -9,6 +9,7 @@ live here too, so that every module holding a config section can use them.
 from __future__ import annotations
 
 import numbers
+import sys
 
 
 class DagTestError(Exception):
@@ -132,5 +133,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Every number field is read as a float, so an integer beyond the float range
+# is no number either.
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(value, int):
+        return _is_int(value) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real)

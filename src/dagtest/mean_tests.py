@@ -41,10 +41,12 @@ reads the group-centered rows, which a shift of either group's mean does not
 move (the SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa traces),
 and raises the family's size, rank and singularity errors. The per-delta
 part reads that state and the mean difference d; Chen–Qin's variance
-estimate is not shift-invariant, so all of its work is per-delta. ``t2dag``,
-``hotelling`` and ``baseline`` each run one family's two parts on one sample
-after one range check; ``prepare_methods`` and ``finish_methods`` run them
-apart, so that a simulated replicate is fit once for its whole delta grid.
+estimate is not shift-invariant, so all of its work is per-delta. One
+runner, ``_run``, runs both parts after the range check and keeps the
+delta-free outcome, a state or its error, in a dict keyed by family. Every
+entry point passes it a dict: ``t2dag``, ``hotelling``, ``baseline`` and
+``run_methods`` a fresh one, and a simulated replicate one dict for its whole
+delta grid, which the first in-range sample fills.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def t2dag(
     Raises:
         ValueOutOfRange: some value of the sample is out of range.
     """
-    pair = _run("t2dag", sample, dag, _UNPREPARED if estimate is None else estimate)
+    pair = _run("t2dag", sample, dag, {} if estimate is None else {"t2dag": estimate})
     return pair["t2dag_chi2"], pair["t2dag_z"]
 
 
@@ -207,7 +209,7 @@ def hotelling(sample: GroupedSample, dag: PathwayDag | None = None) -> TestResul
         DimensionTooLarge: unless n1+n2 > p+1.
         SingularCovariance: pooled covariance not positive definite.
     """
-    return _run("hotelling", sample, dag)["hotelling"]
+    return _run("hotelling", sample, dag, {})["hotelling"]
 
 
 def _hotelling_factor(sample: GroupedSample, dag):
@@ -333,7 +335,7 @@ def baseline(
     """
     if which not in ("bai_saranadasa", "chen_qin"):
         raise ValueError(f"unknown baseline {which!r}")
-    return _run(which, sample, dag)[which]
+    return _run(which, sample, dag, {})[which]
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +366,20 @@ _FAMILIES = {
 METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.methods)
 
 
-# The state of a family whose delta-free part has not run. None cannot mark
-# it: None is Chen–Qin's state.
-_UNPREPARED = object()
-
-
-def _run(family: str, sample: GroupedSample, dag, state=_UNPREPARED) -> dict:
-    """{method: result} of one family on one sample: the range check, then
-    the delta-free part unless ``state`` holds its outcome (a DagTestError
-    is raised), then the per-delta part."""
+def _run(family: str, sample: GroupedSample, dag, states: dict) -> dict:
+    """{method: result} of one family on one sample: the range check, the
+    delta-free part unless ``states`` holds its outcome (stored there: a
+    state, or the DagTestError it raised, which is raised again), then the
+    per-delta part."""
     sample._check_range(dag)
     entry = _FAMILIES[family]
-    if state is _UNPREPARED:
-        state = entry.prepare(sample, dag)
-    elif isinstance(state, DagTestError):
+    if family not in states:
+        try:
+            states[family] = entry.prepare(sample, dag)
+        except DagTestError as exc:
+            states[family] = exc
+    state = states[family]
+    if isinstance(state, DagTestError):
         raise state
     return entry.finish(state, sample, dag)
 
@@ -394,46 +396,22 @@ def method_families(methods: Sequence[str]) -> list[str]:
     return [f for f, entry in _FAMILIES.items() if set(entry.methods) & set(methods)]
 
 
-def prepare_methods(
-    sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
-) -> dict | None:
-    """The delta-free part of each named method on one sample.
-
-    Returns {family: state}, where a state is the family's delta-free work
-    (the t2dag SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa
-    traces, nothing for Chen–Qin) or the DagTestError that work raised; or
-    None for an out-of-range sample, which holds no usable state.
-    """
-    families = method_families(methods)
-    if sample._out_of_range is not None:
-        return None
-    states = {}
-    for family in families:
-        try:
-            states[family] = _FAMILIES[family].prepare(sample, dag)
-        except DagTestError as exc:
-            states[family] = exc
-    return states
-
-
 def finish_methods(
-    states: Mapping | None, sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
+    states: dict, sample: GroupedSample, dag: PathwayDag, methods: Sequence[str]
 ) -> tuple[list[TestResult], list[str]]:
-    """The per-delta part of each named method, as ``run_methods`` reports it.
+    """Each named method on one sample, as ``run_methods`` reports it.
 
     Each family goes through the runner of ``t2dag``, ``hotelling`` and
-    ``baseline``, so the range check runs on this sample before its state
-    is read: out of range, every method fails with its line, and ``states``
-    may be None. In range, ``states`` comes from ``prepare_methods`` on this sample,
-    or on another in-range sample that differs from it only by a shift of a
-    group's mean: such a shift moves only the means that this part reads,
-    and the centered rows behind the states in their last bits.
+    ``baseline``, which fills ``states`` in place; an out-of-range sample
+    stores nothing. A stored outcome may come from another in-range sample
+    that differs from this one only by a shift of a group's mean: such a
+    shift moves only the means that the per-delta part reads, and the
+    centered rows behind the states in their last bits.
     """
     outcomes: dict = {}
     for family in method_families(methods):
-        state = _UNPREPARED if states is None else states[family]
         try:
-            outcomes.update(_run(family, sample, dag, state))
+            outcomes.update(_run(family, sample, dag, states))
         except DagTestError as exc:
             outcomes.update(dict.fromkeys(_FAMILIES[family].methods, exc))
     failed = [m for m in methods if isinstance(outcomes[m], DagTestError)]
@@ -446,16 +424,16 @@ def run_methods(
 ) -> tuple[list[TestResult], list[str]]:
     """Run each named method on one sample, tolerating per-method failures.
 
-    This is ``finish_methods(prepare_methods(sample, dag, methods), ...)``:
-    each method's delta-free part, then its per-delta part, on this one
-    sample. ``t2dag_chi2`` and ``t2dag_z`` share one SEM fit. A method that
-    raises a DagTestError yields the line ``"{method}: {message}"`` in the
-    errors instead of a result.
+    This is ``finish_methods({}, sample, dag, methods)``: each method's
+    delta-free part, then its per-delta part, on this one sample.
+    ``t2dag_chi2`` and ``t2dag_z`` share one SEM fit. A method that raises a
+    DagTestError yields the line ``"{method}: {message}"`` in the errors
+    instead of a result.
 
     Returns:
         (results in the order of ``methods``, error lines).
     """
-    return finish_methods(prepare_methods(sample, dag, methods), sample, dag, methods)
+    return finish_methods({}, sample, dag, methods)
 
 
 def map_in_order(fn: Callable, items: Iterable, threads: int) -> list:

@@ -15,8 +15,9 @@ more go through one stacked SVD. ``fit_node`` is the same kernel on a single
 node. Errors are reported as a node-by-node sweep in topological order would
 meet them first.
 
-Everything in this module indexes nodes by *topological position*; `fit_sem`
-translates from the original column order at entry.
+``fit_sem`` and ``SemEstimate`` index nodes by *topological position*;
+``fit_sem`` translates from the original column order at entry. ``fit_node``
+takes column indices.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class GroupedSample:
         object.__setattr__(self, "g", g)
         if X.ndim != 2:
             raise ValueError("X must be a 2-D matrix")
+        if X.shape[1] == 0:
+            raise ValueError("X must have at least one column")
         n = self.n1 + self.n2
         if X.shape[0] != n or g.shape != (n,):
             raise ValueError("row count must equal n1 + n2 and match g")
@@ -203,7 +206,7 @@ class NodeFit:
     """Per-node OLS result.
 
     Attributes:
-        j: topological position of the node.
+        j: column index of the node, as passed to ``fit_node``.
         q_hat: parent coefficients, aligned with the parent set (length |S_j|).
         theta_hat: (θ̂₁, θ̂₂); θ̂₁ is the group-2 intercept of the parent-adjusted
             column and θ̂₂ the group-1 minus group-2 contrast.
@@ -435,8 +438,8 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     dag's topological order internally. The nodes are fit by parent count,
     one kernel call per count, yet a failure is reported as a node-by-node
     sweep in topological order would meet it first: the offending node's
-    label is attached, and nodes after a node with too few samples are not
-    fit at all.
+    label is attached, and no failure after a node with too few samples is
+    reported.
 
     Raises:
         ValueOutOfRange: some value of the sample is out of range; checked
@@ -460,12 +463,9 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     dof = n - sizes - 4
     failures: dict[int, RankDeficientDesign] = {}
     for k, (nodes, P) in dag.parent_groups.items():
-        if limit < p:
-            # Cut the plan at the first position short of samples (dof < 1).
-            m = int(np.searchsorted(nodes, limit))
-            if m == 0:
-                continue
-            nodes, P = nodes[:m], P[:m]
+        if k > n - 5:
+            # Every node of this group is short of samples (dof < 1).
+            continue
         q, adjusted[nodes], rss, failed = _fit_columns(
             rows[nodes], rows[P].transpose(0, 2, 1), nodes
         )

@@ -21,7 +21,7 @@ from scipy.special import betaincinv
 
 from .divergence import PopulationModel
 from .errors import ConfigError, DagTestError, _is_int, _is_number
-from .mean_tests import finish_methods, map_in_order, method_families, prepare_methods
+from .mean_tests import finish_methods, map_in_order, method_families
 from .pathway import EdgePerturbation, PathwayDag, perturb_edges, round_half_up
 from .sem import GroupedSample
 
@@ -123,7 +123,7 @@ class SimConfig:
 
         def integer(name: str, low: int):
             value = getattr(self, name)
-            ok = _is_int(value) and value >= low
+            ok = _is_int(value) and _is_number(value) and value >= low
             need(ok, f"/{name}", f"integer >= {low} required")
 
         def number(name: str):
@@ -492,18 +492,16 @@ def _replicate_outcomes(
     means, so each method's delta-free part (the SEM fit, Hotelling's
     factor, the Bai–Saranadasa traces) runs once, on the first delta's
     sample that is in range, and the per-delta part on every delta's
-    sample."""
+    sample. The states live in this call's own dict, so threads share none."""
     try:
         X, _true_dag, used_dag, _Q, _R = _draw(cfg, replicate)
     except (DagTestError, ValueError) as exc:
         note = f"replicate {replicate}: {exc}"
         return [(dict.fromkeys(methods), [note]) for _ in deltas]
-    states = None
+    states: dict = {}
     outcomes = []
     for delta in deltas:
         sample, _mu2 = _shift(cfg, X, delta)
-        if states is None:
-            states = prepare_methods(sample, used_dag, methods)
         results, errors = finish_methods(states, sample, used_dag, methods)
         decisions: dict = dict.fromkeys(methods)
         for result in results:

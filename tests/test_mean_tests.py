@@ -627,15 +627,16 @@ def test_entry_points_agree_with_run_methods(make, edges, failing):
 
 
 def test_out_of_range_sample_prepares_no_state():
-    # prepare_methods holds nothing for an out-of-range sample; finish_methods
-    # checks the range before it reads the state, so None gives one range
-    # line per method, the lines run_methods reports.
+    # The range check runs before any delta-free part, so an out-of-range
+    # sample stores no state and gives one range line per method, the lines
+    # run_methods reports.
     rng = np.random.default_rng(6)
     sample = random_sample(rng, 6, 6, 4)
     sample.X[7, 2] = np.inf
     dag = chain_dag(4)
-    assert mean_tests.prepare_methods(sample, dag, METHODS) is None
-    results, errors = mean_tests.finish_methods(None, sample, dag, METHODS)
+    states = {}
+    results, errors = mean_tests.finish_methods(states, sample, dag, METHODS)
+    assert states == {}
     assert results == []
     assert errors == [
         f"{method}: gene 2 holds a value out of range: NaN, infinite or "
@@ -646,13 +647,15 @@ def test_out_of_range_sample_prepares_no_state():
 
 
 def test_finish_methods_reruns_no_delta_free_part(monkeypatch):
-    # Every family's state from prepare_methods, Chen–Qin's None included,
-    # is read as that family's prepared state: no delta-free part runs again.
+    # Every family's state that finish_methods stored on the first sample,
+    # Chen–Qin's None included, is read as that family's prepared state: no
+    # delta-free part runs again.
     rng = np.random.default_rng(8)
     sample = random_sample(rng, 10, 10, 4)
     dag = chain_dag(4)
-    states = mean_tests.prepare_methods(sample, dag, METHODS)
-    expected = mean_tests.run_methods(sample, dag, METHODS)
+    states = {}
+    expected = mean_tests.finish_methods(states, sample, dag, METHODS)
+    assert list(states) == list(mean_tests._FAMILIES)
 
     def prepared_twice(*args):
         raise AssertionError("the delta-free part ran again")
@@ -666,6 +669,46 @@ def test_finish_methods_reruns_no_delta_free_part(monkeypatch):
     assert [(r.method, r.statistic) for r in results] == [
         (r.method, r.statistic) for r in expected[0]
     ]
+
+
+def test_first_in_range_sample_prepares_each_family_once(monkeypatch):
+    # A 3-sample grid whose first sample is out of range: the second sample
+    # runs each family's delta-free part, and the third reads its outcome.
+    # p = n - 1, so Hotelling's part fails, and its stored error gives the
+    # same line on every later sample.
+    calls = dict.fromkeys(mean_tests._FAMILIES, 0)
+    for family, entry in mean_tests._FAMILIES.items():
+
+        def counted(*args, _family=family, _real=entry.prepare):
+            calls[_family] += 1
+            return _real(*args)
+
+        monkeypatch.setitem(
+            mean_tests._FAMILIES, family, entry._replace(prepare=counted)
+        )
+    rng = np.random.default_rng(9)
+    sample = random_sample(rng, 4, 4, 7)
+    dag = chain_dag(7)
+    shifted = [sample.X.copy() for _ in range(3)]
+    shifted[0][5, 3] = np.nan
+    shifted[2][4:] += 0.5
+    grid = [GroupedSample.from_groups(X[:4], X[4:]) for X in shifted]
+    states = {}
+    outcomes = [mean_tests.finish_methods(states, s, dag, METHODS) for s in grid]
+    assert calls == dict.fromkeys(mean_tests._FAMILIES, 1)
+    assert isinstance(states["hotelling"], DimensionTooLarge)
+    assert outcomes[0][0] == []
+    assert all("out of range" in line for line in outcomes[0][1])
+    for results, errors in outcomes[1:]:
+        assert [r.method for r in results] == [m for m in METHODS if m != "hotelling"]
+        assert errors == [
+            "hotelling: Hotelling T2 needs n1+n2 > p+1; got n1+n2=8, p=7"
+        ]
+    monkeypatch.undo()
+    for s, (results, errors) in zip(grid[:2], outcomes):
+        want, want_errors = mean_tests.run_methods(s, dag, METHODS)
+        assert [r.statistic for r in results] == [w.statistic for w in want]
+        assert errors == want_errors
 
 
 def test_methods_tuple_is_stable():

@@ -710,6 +710,13 @@ def test_grouped_sample_validation():
         GroupedSample.from_groups(np.zeros((1, 2)), np.zeros((4, 2)))
 
 
+def test_grouped_sample_refuses_a_sample_without_genes():
+    # Every statistic divides by p somewhere; a sample with no columns is
+    # refused with the other shape errors, before any method runs.
+    with pytest.raises(ValueError, match="at least one column"):
+        GroupedSample.from_groups(np.zeros((3, 0)), np.zeros((4, 0)))
+
+
 def test_grouped_sample_centering_and_mean_diff():
     rng = np.random.default_rng(22)
     s = random_sample(rng, 5, 7, 3)

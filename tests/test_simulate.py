@@ -15,7 +15,7 @@ from dagtest.cli import main
 from dagtest.data_io import csv_text
 from dagtest.divergence import PopulationModel
 from dagtest.errors import ConfigError
-from dagtest.mean_tests import METHODS, finish_methods, prepare_methods, run_methods
+from dagtest.mean_tests import METHODS, finish_methods, run_methods
 from dagtest.pathway import EdgePerturbation, PathwayDag, perturb_edges
 from dagtest.sem import GroupedSample
 from dagtest.simulate import (
@@ -333,6 +333,41 @@ def test_sim_config_validation_paths(patch, path):
     assert err.value.path == path
 
 
+# A JSON integer beyond the float range.
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"delta": _HUGE}, "/delta"),
+        ({"kappa": _HUGE}, "/kappa"),
+        ({"r0": _HUGE}, "/r0"),
+        ({"delta_grid": [0.0, _HUGE]}, "/delta_grid"),
+        ({"p": _HUGE}, "/p"),
+        ({"nb_failures": _HUGE}, "/nb_failures"),
+        ({"confounders": {"c_scale": _HUGE}}, "/confounders/c_scale"),
+    ],
+)
+def test_integer_beyond_the_float_range_is_a_config_error(
+    tmp_path, capsys, patch, path
+):
+    doc = {"n1": 6, "n2": 6, "p": 5, "replicates": 2, "seed": 1, **patch}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", str(config), "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: config error at {path}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_seed_takes_an_integer_beyond_the_float_range():
+    doc = SimConfig(n1=10, n2=10, p=10).to_dict()
+    doc["seed"] = _HUGE
+    assert SimConfig.from_dict(doc).seed == _HUGE
+
+
 def test_sim_config_unknown_keys():
     doc = SimConfig(n1=10, n2=10, p=10).to_dict()
     doc["zeta"] = 1
@@ -576,7 +611,8 @@ def test_shared_state_statistics_match_a_fresh_fit(name):
     cfg = grid_configs()[name]
     for r in range(cfg.replicates):
         unshifted, _true_dag, used_dag, _model = gen_dataset(cfg, r)
-        states = prepare_methods(unshifted, used_dag, METHODS)
+        states = {}
+        finish_methods(states, unshifted, used_dag, METHODS)
         for delta in GRID:
             sample = gen_dataset(replace(cfg, delta=delta), r)[0]
             got, got_errors = finish_methods(states, sample, used_dag, METHODS)
