@@ -369,7 +369,8 @@ METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.metho
 def _run(family: str, sample: GroupedSample, dag, states: dict) -> dict:
     """{method: result} of one family on one sample: the range check, the
     delta-free part unless ``states`` holds its outcome (stored there: a
-    state, or the DagTestError it raised, which is raised again), then the
+    state, or the DagTestError it raised, which is raised again without its
+    earlier traceback, so repeated raises do not pile up frames), then the
     per-delta part."""
     sample._check_range(dag)
     entry = _FAMILIES[family]
@@ -380,7 +381,7 @@ def _run(family: str, sample: GroupedSample, dag, states: dict) -> dict:
             states[family] = exc
     state = states[family]
     if isinstance(state, DagTestError):
-        raise state
+        raise state.with_traceback(None)
     return entry.finish(state, sample, dag)
 
 

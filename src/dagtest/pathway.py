@@ -139,10 +139,12 @@ class PathwayDag:
 
     @cached_property
     def parent_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """{k: (positions, parents)} over the parent counts k, in order of
+        """{k: (positions, columns)} over the parent counts k, in order of
         first appearance: ``positions`` (m,) are the ascending positions with
-        k parents and row i of ``parents`` (m, k) is the parent set of
-        ``positions[i]``. Read-only; ``fit_sem`` fits one group per call."""
+        k parents, and row i of ``columns`` (m, k+1) is the parent set of
+        ``positions[i]`` followed by ``positions[i]`` itself, the gather
+        index of that node's augmented fit block. Read-only; ``fit_sem`` fits
+        one group per call."""
         parent_sets = self.parent_sets
         groups: dict[int, list[int]] = {}
         for pos, parents in enumerate(parent_sets):
@@ -150,7 +152,9 @@ class PathwayDag:
         return {
             k: (
                 _read_only(np.array(positions, np.intp)),
-                _read_only(np.array([parent_sets[pos] for pos in positions], np.intp)),
+                _read_only(
+                    np.array([(*parent_sets[pos], pos) for pos in positions], np.intp)
+                ),
             )
             for k, positions in groups.items()
         }

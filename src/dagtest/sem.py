@@ -11,9 +11,11 @@ One kernel, ``_fit_columns``, does every node fit. ``fit_sem`` calls it once
 per parent count, on the stack of all nodes with that count, as the dag's
 ``parent_groups`` (derived once per dag) lists them: no parents leaves the
 centered column, one parent is a vectorized simple regression, and two or
-more go through one stacked SVD. ``fit_node`` is the same kernel on a single
-node. Errors are reported as a node-by-node sweep in topological order would
-meet them first.
+more go through one stacked Householder QR of the blocks [parents | node].
+A bound from each R factor settles the rank rule for almost every block;
+the stacked SVD runs only on the blocks it cannot settle. ``fit_node`` is
+the same kernel on a single node. Errors are reported as a node-by-node
+sweep in topological order would meet them first.
 
 ``fit_sem`` and ``SemEstimate`` index nodes by *topological position*;
 ``fit_sem`` translates from the original column order at entry. ``fit_node``
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -250,29 +252,25 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else b"\x01" in mask.tobytes()
 
 
-def _fit_columns(y, A, nodes):
+def _fit_columns(B, nodes):
     """OLS fits of target columns, each on its own block of k parent columns.
 
-    Every column holds n group-centered values followed by its two group
-    means (the layout of ``GroupedSample._fit_rows``). The solve reads the
-    first n rows only; the residual product covers all n + 2, so its last two
-    entries are the parent-adjusted means x̄_j − x̄_S·q̂.
+    Each fit is one augmented block [A | y]: k parent columns, then the
+    target. Every column holds n group-centered values followed by its two
+    group means (the layout of ``GroupedSample._fit_rows``). The solve reads
+    the first n rows only; the residual product covers all n + 2, so its last
+    two entries are the parent-adjusted means x̄_j − x̄_S·q̂.
 
     Shapes broadcast over leading axes: ``fit_node`` passes one fit with no
     leading axis, ``fit_sem`` a stack of fits that share one parent count,
     and each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
     q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
-    a zero or subnormal a·a, go through one stacked SVD. A block whose
-    smallest singular value is at most eps · max(n, k) · (largest singular
-    value), or at most the smallest normal float, is rank deficient, and its
-    rank is the count of singular values above that threshold. The values
-    are in range (see ``GroupedSample``), so the singular values behind the
-    threshold are finite.
+    a zero or subnormal a·a, go through ``_solve_qr``, which settles the
+    rank rule from a QR factor where a bound can and by SVD where it cannot.
 
     Args:
-        y: (…, n+2) target columns.
-        A: (…, n+2, k) parent blocks.
+        B: (…, n+2, k+1) augmented blocks, the target column last.
         nodes: (…) topological positions, named in error messages.
 
     Returns:
@@ -281,19 +279,108 @@ def _fit_columns(y, A, nodes):
         squares; and {flat index: RankDeficientDesign} for the fits that
         failed, whose entries are NaN.
     """
-    n, k = A.shape[-2] - 2, A.shape[-1]
+    n, k = B.shape[-2] - 2, B.shape[-1] - 1
+    y = B[..., k]
     if k == 0:
-        # q̂ is empty: one row of the (…, n+2, 0) blocks.
-        return A[..., 0, :], *_split(y, n), {}
+        # q̂ is empty: the (…, 0) parent part of one row of the blocks.
+        return B[..., 0, :0], *_split(y, n), {}
     if k == 1:
-        a = A[..., :n, 0]
+        a = B[..., :n, 0]
         aa = _vecdot(a, a)
-        # The SVD rule grants rank 1 to every nonzero column (eps·n < 1), so
-        # only a stack holding a zero or subnormal a·a needs the SVD below.
+        # The rank rule grants rank 1 to every nonzero column (eps·n < 1), so
+        # only a stack holding a zero or subnormal a·a needs the QR route.
         if not _any(aa <= _TINY):
             q = (_vecdot(a, y[..., :n]) / aa)[..., None]
-            return q, *_split(y - A[..., 0] * q, n), {}
-    U, s, Vt = np.linalg.svd(A[..., :n, :], full_matrices=False)
+            return q, *_split(y - B[..., 0] * q, n), {}
+    q, failures = _solve_qr(B[..., :n, :], nodes)
+    return q, *_split(y - (B[..., :k] @ q[..., None])[..., 0], n), failures
+
+
+# The factor c by which a block's singular-value bounds must clear the rank
+# rule for the QR alone to settle it. The room absorbs the rounding of the QR
+# and of R⁻¹, so a block the bound certifies is one the SVD rule would also
+# find of full rank. Fixed, not an option.
+_CERTIFY_MARGIN = 2.0**10
+
+
+@cache
+def _lower(k: int) -> np.ndarray:
+    """Read-only k × k lower-triangular mask of ones."""
+    mask = np.tri(k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _solve_qr(B, nodes):
+    """Least-squares coefficients of (…, n, k+1) blocks [A | y], by one
+    stacked Householder QR.
+
+    The QR of [A | y] gives R (k × k, upper triangular) and z = Qᵀy, so
+    q̂ = R⁻¹z. The rank rule is ``_solve_svd``'s: a block is rank deficient
+    when s_min ≤ max(eps · max(n, k) · s_max, tiny). The QR settles it from
+    bounds. With M and W the largest entries of R and R⁻¹,
+    s_max ≤ ‖R‖_F ≤ k·M and s_min ≥ 1/‖R⁻¹‖_F ≥ 1/(k·W), so a block with
+    c · k·W · max(eps · max(n, k) · k·M, tiny) < 1, c = ``_CERTIFY_MARGIN``,
+    passes the rule with a factor c to spare. The largest entries stand in
+    for the Frobenius norms because they square nothing: squares underflow
+    at small scales, which would understate s_max. The blocks the bound does
+    not certify (an exact zero on R's diagonal, a bound above the limit, an
+    R⁻¹ that overflows) go through ``_solve_svd`` as one subset of the
+    stack, so every rank decision and message is the SVD rule's. Stacked
+    ``np.linalg.qr`` needs numpy >= 1.22.
+
+    Returns (q̂, failures) as ``_solve_svd`` does, with flat indices into
+    the whole stack.
+    """
+    n, k = B.shape[-2], B.shape[-1] - 1
+    # mode="raw" returns the factor transposed: Rᵀ in the lower triangle of
+    # h's leading k × k block, Householder vectors above it, and z in row k.
+    # Masking the vectors costs less than the triu of mode="r".
+    h = np.linalg.qr(B, mode="raw")[0]
+    R, z = np.swapaxes(h[..., :k, :k] * _lower(k), -1, -2), h[..., k, :k]
+    try:
+        Rinv = np.linalg.inv(R)
+        solvable = True
+    except np.linalg.LinAlgError:
+        # R is upper triangular, so inv eliminates nothing and fails only on
+        # an exact zero on its diagonal, refusing the whole stack: those
+        # blocks get the identity here.
+        solvable = np.diagonal(R, axis1=-2, axis2=-1).all(axis=-1)
+        Rinv = np.linalg.inv(np.where(solvable[..., None, None], R, np.eye(k)))
+    # The test reads W < limit, so it forms no overflow: a W of inf or NaN
+    # fails it.
+    M = np.abs(R).max(axis=(-2, -1))
+    W = np.abs(Rinv).max(axis=(-2, -1))
+    scale = np.maximum(_EPS * max(n, k) * k * M, _TINY)
+    certified = (W < 1.0 / (_CERTIFY_MARGIN * k * scale)) & solvable
+    if certified.all():
+        return _vecdot(Rinv, z[..., None, :]), {}
+    # The blocks left to the SVD get q̂ = 0 here, so their R⁻¹ overflows
+    # nothing.
+    q = _vecdot(np.where(certified[..., None, None], Rinv, 0.0), z[..., None, :])
+    rest = np.flatnonzero(~certified)
+    stack = B.reshape(-1, n, k + 1)[rest]
+    nodes = np.broadcast_to(nodes, certified.shape).reshape(-1)[rest]
+    q_rest, failed = _solve_svd(stack[..., :k], stack[..., k], nodes)
+    q.reshape(-1, k)[rest] = q_rest
+    return q, {int(rest[i]): exc for i, exc in failed.items()}
+
+
+def _solve_svd(A, y, nodes):
+    """Least-squares coefficients of (m, n, k) blocks A on (m, n) targets y,
+    by one stacked SVD.
+
+    A block whose smallest singular value is at most eps · max(n, k) ·
+    (largest singular value), or at most the smallest normal float, is rank
+    deficient, and its rank is the count of singular values above that
+    threshold. The values are in range (see ``GroupedSample``), so the
+    singular values behind the threshold are finite.
+
+    Returns (q̂, failures): (m, k) coefficients, NaN for the failed fits,
+    and {index: RankDeficientDesign} for those.
+    """
+    n, k = A.shape[-2:]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     # numpy's matrix_rank rule, from the largest singular value, which does
     # not underflow as squared column values do. The floor keeps every fit
     # from dividing by a subnormal singular value: it binds only for a block
@@ -304,8 +391,7 @@ def _fit_columns(y, A, nodes):
     deficient = s[..., -1] <= tol
     failures = {}
     if _any(deficient):
-        ranks = np.count_nonzero(s > tol[..., None], axis=-1).reshape(-1)
-        nodes = np.broadcast_to(nodes, deficient.shape).reshape(-1)
+        ranks = np.count_nonzero(s > tol[..., None], axis=-1)
         for i in np.flatnonzero(deficient).tolist():
             failures[i] = RankDeficientDesign(
                 f"parent block of node {nodes[i]} has rank {ranks[i]} < {k}"
@@ -313,9 +399,8 @@ def _fit_columns(y, A, nodes):
         # Dividing by NaN rather than a zero singular value makes the failed
         # fits read NaN without a warning.
         s[deficient] = np.nan
-    c = _vecdot(np.swapaxes(U, -1, -2), y[..., None, :n]) / s
-    q = _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :])
-    return q, *_split(y - (A @ q[..., None])[..., 0], n), failures
+    c = _vecdot(np.swapaxes(U, -1, -2), y[..., None, :]) / s
+    return _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :]), failures
 
 
 def _split(resid, n):
@@ -342,9 +427,12 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     ``fit_sem`` runs on whole parent-count groups, with the same routes: a
     single parent column is a simple regression unless a·a is zero or
     subnormal; that column, and any block of two or more parents, goes
-    through a singular value decomposition, which detects rank deficiency
-    with threshold eps · max(n, |S_j|) · (largest singular value), floored
-    at the smallest normal float.
+    through a Householder QR of [parents | j]. The block is rank deficient
+    when its smallest singular value is at most eps · max(n, |S_j|) · (its
+    largest), or at most the smallest normal float. A bound from the R
+    factor settles that rule unless the block is within a safety factor of
+    2¹⁰ of it; then a singular value decomposition decides, and its
+    decision and message are the ones reported.
     Residuals are always formed explicitly, and θ̂ comes from the
     cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
@@ -368,13 +456,16 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     dof = n - k - 4
     if dof < 1:
         raise _too_few_samples(n, k, j)
-    rows = sample._fit_rows
-    if k <= 1:
-        # A basic slice is a view, where a list index would copy.
-        cols = slice(parents[0], parents[0] + 1) if k else slice(0)
+    # The columns [parents | j], as a basic slice when k ≤ 1: a view, where
+    # a list index would copy.
+    if k == 0:
+        cols = slice(j, j + 1)
+    elif k == 1:
+        step = j - parents[0]
+        cols = slice(parents[0], j + step if j + step >= 0 else None, step)
     else:
-        cols = list(parents)
-    q, adjusted, rss, failures = _fit_columns(rows[:, j], rows[:, cols], j)
+        cols = [*parents, j]
+    q, adjusted, rss, failures = _fit_columns(sample._fit_rows[:, cols], j)
     if failures:
         raise failures[0]
     m1, m2 = adjusted.tolist()
@@ -462,14 +553,14 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     adjusted = np.zeros((p, 2))
     dof = n - sizes - 4
     failures: dict[int, RankDeficientDesign] = {}
-    for k, (nodes, P) in dag.parent_groups.items():
+    for k, (nodes, columns) in dag.parent_groups.items():
         if k > n - 5:
             # Every node of this group is short of samples (dof < 1).
             continue
         q, adjusted[nodes], rss, failed = _fit_columns(
-            rows[nodes], rows[P].transpose(0, 2, 1), nodes
+            rows[columns].transpose(0, 2, 1), nodes
         )
-        Q[P, nodes[:, None]] = q
+        Q[columns[:, :k], nodes[:, None]] = q
         R[nodes] = rss / (n - k - 4)
         failures.update((int(nodes[i]), exc) for i, exc in failed.items())
     # A node-by-node sweep would stop at the first failure; failed fits hold

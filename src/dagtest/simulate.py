@@ -29,6 +29,9 @@ ERROR_FAMILIES = ("gaussian", "uniform", "gamma", "lognormal")
 
 # Substreams of one replicate's randomness (see stream_rng).
 _ADJACENCY, _COEFFICIENTS, _ERRORS, _CONFOUNDERS, _PERTURBATION = range(5)
+# numpy indexes an array's bytes by a signed machine integer, so no float
+# array of a replicate may hold more values than this.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 def stream_rng(seed: int, replicate: int, stream: int) -> np.random.Generator:
@@ -134,6 +137,17 @@ class SimConfig:
         integer("n1", 2)
         integer("n2", 2)
         integer("p", 2)
+        # A replicate holds p × p coefficients, n × p values and, with
+        # confounders, n × count and count × p arrays; each must be indexable.
+        # Once p × p is, an n × p array too large means n > p, so the larger
+        # group is named.
+        n, p = self.n1 + self.n2, self.p
+        too_large = "too large: a replicate's arrays could not be indexed"
+        need(p * p <= _MAX_VALUES, "/p", too_large)
+        need(n * p <= _MAX_VALUES, "/n1" if self.n1 >= self.n2 else "/n2", too_large)
+        if self.confounders is not None:
+            count = self.confounders.count
+            need(count * max(n, p) <= _MAX_VALUES, "/confounders/count", too_large)
         need(0.0 <= number("p0_fraction") < 1.0, "/p0_fraction", "must lie in [0, 1)")
         if self.p0_fraction > 0.0:
             need(

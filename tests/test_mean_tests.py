@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -709,6 +710,24 @@ def test_first_in_range_sample_prepares_each_family_once(monkeypatch):
         want, want_errors = mean_tests.run_methods(s, dag, METHODS)
         assert [r.statistic for r in results] == [w.statistic for w in want]
         assert errors == want_errors
+
+
+def test_stored_error_keeps_one_traceback_over_a_grid():
+    # Hotelling's delta-free part fails (n = 8, p = 7) and its error is stored
+    # once; raising it again on each later sample keeps its traceback the
+    # same length instead of adding the runner's frames each time.
+    rng = np.random.default_rng(10)
+    sample = random_sample(rng, 4, 4, 7)
+    dag = chain_dag(7)
+    states = {}
+    lengths = []
+    for _ in range(4):
+        _, errors = mean_tests.finish_methods(states, sample, dag, ["hotelling"])
+        assert errors == ["hotelling: Hotelling T2 needs n1+n2 > p+1; got n1+n2=8, p=7"]
+        error = states["hotelling"]
+        assert isinstance(error, DimensionTooLarge)
+        lengths.append(len(list(traceback.walk_tb(error.__traceback__))))
+    assert lengths == [lengths[0]] * 4
 
 
 def test_methods_tuple_is_stable():

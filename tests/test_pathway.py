@@ -194,11 +194,11 @@ def test_fit_plan_matches_parent_sets_and_is_read_only():
         ]
         # Groups in order of first appearance, positions ascending.
         assert list(dag.parent_groups) == list(dict.fromkeys(sizes))
-        for k, (positions, block) in dag.parent_groups.items():
+        for k, (positions, columns) in dag.parent_groups.items():
             assert positions.tolist() == [i for i, m in enumerate(sizes) if m == k]
-            assert block.shape == (len(positions), k)
-            assert [tuple(row) for row in block.tolist()] == [
-                dag.parent_sets[i] for i in positions.tolist()
+            assert columns.shape == (len(positions), k + 1)
+            assert [tuple(row) for row in columns.tolist()] == [
+                (*dag.parent_sets[i], i) for i in positions.tolist()
             ]
         assert dag.n_children == sum(1 for m in sizes if m)
         assert dag.max_in_degree == max(sizes, default=0)

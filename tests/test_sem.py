@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
@@ -14,6 +16,7 @@ from dagtest.errors import (
     ValueOutOfRange,
     ZeroResidualVariance,
 )
+from dagtest import sem
 from dagtest.mean_tests import METHODS, run_methods
 from dagtest.pathway import PathwayDag
 from dagtest.sem import (
@@ -417,6 +420,175 @@ def test_fit_sem_on_one_dag_matches_a_fresh_dag_per_sample():
         got, want = fit_sem(sample, dag), fit_sem(sample, fresh)
         for name in ("Q_hat", "R_hat", "theta_hat", "dof"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The node-fit kernel: one stacked QR, the SVD only where the bound fails
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _conditioned_blocks(rng, n1, n2, k, conds, scale):
+    """Fit blocks of a sample of len(conds) blocks, each k parent columns
+    and one child.
+
+    Block i's group-centered parent columns have singular values spaced
+    evenly in log scale from 1 down to 1/conds[i]; its child is a random
+    combination of them plus group-centered noise. Each column also gets
+    group means. Each block carries its own factor in [1e-6, 1], and the
+    sample is scaled so that its largest value is ``scale``, or half the
+    range bound when that is smaller (``scale`` = inf asks for the bound).
+
+    Returns B (G, n+2, k+1): each block's fit columns from the sample,
+    parents then child, as ``fit_sem`` gathers them.
+    """
+    n = n1 + n2
+    groups = np.r_[np.zeros(n1, int), np.ones(n2, int)]
+
+    def centered(size):
+        a = rng.normal(size=(n, size))
+        for g in (0, 1):
+            a[groups == g] -= a[groups == g].mean(axis=0)
+        return a
+
+    columns = []
+    for cond in conds:
+        U = np.linalg.qr(centered(k))[0]
+        V = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        C = (U * np.logspace(0, -np.log10(cond), k)) @ V.T
+        y = C @ rng.normal(size=k) + 0.1 * centered(1)[:, 0]
+        block = np.column_stack([C, y]) + rng.normal(size=(2, k + 1))[groups]
+        columns.append(block * 10.0 ** -rng.uniform(0, 6))
+    X = np.concatenate(columns, axis=1)
+    X /= np.abs(X).max()
+    p = X.shape[1]
+    bound = np.sqrt(np.sqrt(np.finfo(float).max) / (4.0 * n * p))
+    X *= min(scale, 0.5 * bound)
+    sample = GroupedSample.from_groups(X[:n1], X[n1:])
+    gather = np.arange(p).reshape(len(conds), k + 1)
+    return sample._fit_rows[:, gather].transpose(1, 0, 2)
+
+
+def _check_kernel_against_svd_rule_and_pinv(B, nodes):
+    """Run the kernel on the stack B and check every block: its rank
+    decision and message against the SVD rule computed directly, and q̂,
+    the parent-adjusted means and the RSS against the pinv oracle, within
+    the least-squares perturbation bounds for the block's conditioning.
+    Returns the number of blocks found rank deficient."""
+    q, adjusted, rss, failures = sem._fit_columns(B, nodes)
+    n, k = B.shape[1] - 2, B.shape[2] - 1
+    deficient = 0
+    for i in range(B.shape[0]):
+        A, y = B[i, :, :k], B[i, :, k]
+        s = np.linalg.svd(A[:n], compute_uv=False)
+        tol = max(_EPS * max(n, k) * s[0], _TINY)
+        if s[-1] <= tol:
+            rank = int(np.count_nonzero(s > tol))
+            message = f"parent block of node {nodes[i]} has rank {rank} < {k}"
+            assert str(failures[i]) == message
+            assert np.isnan(q[i]).all() and np.isnan(adjusted[i]).all()
+            assert np.isnan(rss[i])
+            deficient += 1
+            continue
+        assert i not in failures
+        # pinv on the block scaled to s_max = 1, so its cutoff keeps every
+        # singular value at any scale.
+        q_or = np.linalg.pinv(A[:n] / s[0]) @ (y[:n] / s[0])
+        resid = y - A @ q_or
+        r = float(np.sqrt(resid[:n] @ resid[:n]))
+        kappa, qn = s[0] / s[-1], float(np.linalg.norm(q_or))
+        dq = 1e3 * _EPS * kappa * (qn + kappa * r / s[0])
+        dr = 1e3 * _EPS * (s[0] * qn + kappa * r)
+        means = np.abs(A[n:]).max()
+        assert np.abs(q[i] - q_or).max() <= dq
+        assert abs(rss[i] - r * r) <= 2 * r * dr + dr * dr
+        scale_adj = np.abs(y[n:]).max() + means * qn
+        assert np.abs(adjusted[i] - resid[n:]).max() <= means * dq + dr + 1e3 * _EPS * scale_adj
+    assert sorted(failures) == sorted(
+        i for i in range(B.shape[0]) if np.isnan(rss[i])
+    )
+    return deficient
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    blocks=st.integers(1, 8),
+    scale=st.sampled_from([1e-300, 1e-200, 1e-155, 1e-100, 1.0, 1e50, np.inf]),
+)
+def test_fit_kernel_decides_as_the_svd_rule_and_fits_as_pinv(seed, k, blocks, scale):
+    # Conditioning from 1 to 1e17 and scales from 1e-300 to the range bound:
+    # the rank decisions and messages are the SVD rule's, whichever blocks
+    # the QR bound certified, and every fit that passes matches the oracle.
+    rng = np.random.default_rng(seed)
+    n1, n2 = int(rng.integers(k + 3, 20)), int(rng.integers(3, 20))
+    conds = 10.0 ** rng.uniform(0, 17, size=blocks)
+    B = _conditioned_blocks(rng, n1, n2, k, conds, scale)
+    _check_kernel_against_svd_rule_and_pinv(B, np.arange(blocks) + 7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, np.inf])
+def test_fit_kernel_runs_the_svd_on_the_uncertified_blocks_only(monkeypatch, k, scale):
+    # One stack mixes blocks the bound certifies with blocks it cannot: nearly
+    # collinear ones, a group-constant parent (an exact zero on R's diagonal),
+    # a well-conditioned block whose singular values lie at or below the
+    # smallest normal float, where R⁻¹ is still finite, and, for one parent,
+    # columns whose a·a is subnormal or zero. Only the second kind goes
+    # through the SVD.
+    rng = np.random.default_rng(31 + k)
+    conds = [1.0, 1e17, 10.0, 1e16, 1e3, 1e15, 1e2]
+    B = _conditioned_blocks(rng, 12, 10, k, conds, scale).copy()
+    B[0] *= 5e-309 / np.abs(B[0]).max()
+    B[3, :-2, 0] = 0.0  # a group-constant parent
+    if k == 1:
+        # One-parent stacks take the QR route only when some a·a is tiny.
+        B[5] *= 1e-160
+    calls = []
+    real = sem._solve_svd
+
+    def spy(A, y, nodes):
+        calls.append(list(nodes))
+        return real(A, y, nodes)
+
+    monkeypatch.setattr(sem, "_solve_svd", spy)
+    nodes = np.arange(len(conds)) + 40
+    deficient = _check_kernel_against_svd_rule_and_pinv(B, nodes)
+    assert len(calls) == 1 and 0 < len(calls[0]) < len(conds)
+    assert deficient >= 2 and set(calls[0]) >= {40, 43}
+
+
+def test_fit_sem_agrees_with_a_node_by_node_fit_node_sweep():
+    # fit_sem fits each parent count as one stack, fit_node one block at a
+    # time; both run the same kernel, so they agree to rounding, also for
+    # nearly collinear parents and for tiny values, where every one-parent
+    # fit takes the QR route.
+    rng = np.random.default_rng(30)
+    for trial in range(30):
+        p = int(rng.integers(8, 40))
+        n1, n2 = int(rng.integers(8, 25)), int(rng.integers(8, 25))
+        dag = _mixed_dag(rng, p)
+        X = rng.normal(size=(n1 + n2, p))
+        a, b, child = (int(dag.topo_order[i]) for i in (0, 1, -1))
+        if trial % 3 == 1:
+            X[:, b] = X[:, a] + 1e-5 * rng.normal(size=n1 + n2)
+        if trial % 3 == 2:
+            X *= 1e-160  # every a·a is subnormal
+        dag = PathwayDag.from_edges(dag.edges | {(a, child), (b, child)}, p=p)
+        sample = GroupedSample.from_groups(X[:n1], X[n1:])
+        est = fit_sem(sample, dag)
+        topo = sample.reorder_columns(dag.topo_order)
+        Q, R, theta = np.zeros((p, p)), np.zeros(p), np.zeros((p, 2))
+        for pos, parents in enumerate(dag.parent_sets):
+            nf = fit_node(topo, pos, parents)
+            Q[list(parents), pos], R[pos], theta[pos] = nf.q_hat, nf.r_hat, nf.theta_hat
+        tol = 1e-13 if trial % 3 != 1 else 1e-8
+        assert_allclose(est.Q_hat, Q, rtol=tol, atol=tol * np.abs(Q).max())
+        assert_allclose(est.R_hat, R, rtol=tol)
+        assert_allclose(est.theta_hat, theta, rtol=tol, atol=tol * np.abs(theta).max())
 
 
 def test_fitting_leaves_dag_equality_hash_and_repr_alone():

@@ -362,6 +362,66 @@ def test_integer_beyond_the_float_range_is_a_config_error(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"n1": 10**300}, "/n1"),
+        ({"n2": 10**300}, "/n2"),
+        ({"n1": 2**61}, "/n1"),
+        ({"p": 10**30}, "/p"),
+        ({"p": 2**31}, "/p"),
+        ({"confounders": {"count": 10**30}}, "/confounders/count"),
+        ({"confounders": {"count": 2**61}}, "/confounders/count"),
+    ],
+)
+def test_size_beyond_numpy_index_range_is_a_config_error(
+    tmp_path, capsys, patch, path
+):
+    # Sizes within the float range whose replicate arrays numpy could not
+    # index fail at their own path before any replicate is drawn.
+    doc = {"n1": 6, "n2": 6, "p": 5, "replicates": 2, "seed": 1, **patch}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", str(config), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: config error at {path}: too large: a replicate's arrays "
+        "could not be indexed\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_largest_indexable_sizes_pass_the_config_check():
+    limit = dagtest.simulate._MAX_VALUES
+    SimConfig(n1=2, n2=2, p=math.isqrt(limit))
+    SimConfig(n1=limit // 5 - 2, n2=2, p=5)
+    SimConfig(n1=6, n2=6, p=5, confounders=ConfounderConfig(count=limit // 12))
+
+
+def test_allocation_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A replicate too large for memory (not for numpy's index range) ends the
+    # run with one error line and exit 2, not a traceback.
+    def draw(cfg, replicate):
+        raise MemoryError("Unable to allocate 40.0 TiB for an array")
+
+    monkeypatch.setattr(dagtest.simulate, "_draw", draw)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n1": 6, "n2": 6, "p": 5, "replicates": 2}))
+    out_dir = tmp_path / "out"
+    for threads in ("1", "2"):
+        code = main(
+            ["simulate", "--config", str(config), "--out", str(out_dir),
+             "--threads", threads]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 40.0 TiB for an array\n"
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_seed_takes_an_integer_beyond_the_float_range():
     doc = SimConfig(n1=10, n2=10, p=10).to_dict()
     doc["seed"] = _HUGE
