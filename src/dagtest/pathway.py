@@ -101,11 +101,7 @@ class PathwayDag:
 
     def __post_init__(self):
         p = self.p
-        for j, k in sorted(self.edges):
-            if not (0 <= j < p and 0 <= k < p):
-                raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
-            if j == k:
-                raise SelfLoop(f"self-loop at node {j}")
+        _check_edges(self.edges, p, self_loops=True)
         order = topological_order(self.edges, p)
         if p < 0:
             raise ValueError("p must be nonnegative")
@@ -187,6 +183,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # Ordering and cycle handling
 # ---------------------------------------------------------------------------
 
+def _check_edges(edges: Iterable[Edge], p: int, self_loops: bool = False) -> None:
+    """Raise for the smallest edge (j, k) with an end outside 0..p−1 or,
+    when ``self_loops`` is set, with j == k: ValueError for the first kind,
+    SelfLoop for the second.
+
+    The one range rule for edges, which ``PathwayDag``,
+    ``topological_order`` and ``acyclic_reduction`` share. Only the failing
+    edges are sorted.
+    """
+    bad = [
+        (j, k)
+        for j, k in edges
+        if not (0 <= j < p and 0 <= k < p) or self_loops and j == k
+    ]
+    if bad:
+        j, k = min(bad)
+        if j == k and 0 <= j < p:
+            raise SelfLoop(f"self-loop at node {j}")
+        raise ValueError(f"edge ({j}, {k}) out of range for p={p}")
+
+
 def topological_order(edges: Iterable[Edge], p: int) -> list[int]:
     """Order nodes so that every edge points forward.
 
@@ -195,11 +212,14 @@ def topological_order(edges: Iterable[Edge], p: int) -> list[int]:
     ``[0, 1, ..., p-1]``.
 
     Raises:
+        ValueError: an edge index outside 0..p−1.
         CycleDetected: carrying the node list of one cycle.
     """
+    edges = set(edges)
+    _check_edges(edges, p)
     succ: list[list[int]] = [[] for _ in range(p)]
     in_deg = [0] * p
-    for j, k in set(edges):
+    for j, k in edges:
         succ[j].append(k)
         in_deg[k] += 1
     ready = [node for node in range(p) if in_deg[node] == 0]
@@ -274,8 +294,12 @@ def acyclic_reduction(
         (dag, removed): the repaired dag and the deleted edges in removal
         order; the dag itself does not keep them. Idempotent: running it on
         a DAG returns the graph unchanged and no removed edges.
+
+    Raises:
+        ValueError: an edge index outside 0..p−1, self-loops included.
     """
     working = {(int(j), int(k)) for j, k in edges}
+    _check_edges(working, p)
     removed: list[Edge] = []
     for j, k in sorted(working):
         if j == k:

@@ -12,10 +12,11 @@ per parent count, on the stack of all nodes with that count, as the dag's
 ``parent_groups`` (derived once per dag) lists them: no parents leaves the
 centered column, one parent is a vectorized simple regression, and two or
 more go through one stacked Householder QR of the blocks [parents | node].
-A bound from each R factor settles the rank rule for almost every block;
-the stacked SVD runs only on the blocks it cannot settle. ``fit_node`` is
-the same kernel on a single node. Errors are reported as a node-by-node
-sweep in topological order would meet them first.
+When a bound from the R factors settles the rank rule for every block of
+the stack, the stack is solved from them; otherwise the whole stack is
+solved by one stacked SVD. ``fit_node`` is the same kernel on a single
+node. Errors are reported as a node-by-node sweep in topological order
+would meet them first.
 
 ``fit_sem`` and ``SemEstimate`` index nodes by *topological position*;
 ``fit_sem`` translates from the original column order at entry. ``fit_node``
@@ -266,8 +267,9 @@ def _fit_columns(B, nodes):
     and each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
     q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
-    a zero or subnormal a·a, go through ``_solve_qr``, which settles the
-    rank rule from a QR factor where a bound can and by SVD where it cannot.
+    a zero or subnormal a·a, go through ``_solve_qr``. It solves the whole
+    stack from a QR factor when a bound settles the rank rule for every
+    block, and the whole stack by SVD otherwise.
 
     Args:
         B: (…, n+2, k+1) augmented blocks, the target column last.
@@ -323,14 +325,13 @@ def _solve_qr(B, nodes):
     c · k·W · max(eps · max(n, k) · k·M, tiny) < 1, c = ``_CERTIFY_MARGIN``,
     passes the rule with a factor c to spare. The largest entries stand in
     for the Frobenius norms because they square nothing: squares underflow
-    at small scales, which would understate s_max. The blocks the bound does
-    not certify (an exact zero on R's diagonal, a bound above the limit, an
-    R⁻¹ that overflows) go through ``_solve_svd`` as one subset of the
-    stack, so every rank decision and message is the SVD rule's. Stacked
-    ``np.linalg.qr`` needs numpy >= 1.22.
+    at small scales, which would understate s_max. When the bound certifies
+    every block, the stack is solved from R; otherwise (an exact zero on a
+    diagonal of R, a bound above the limit, an R⁻¹ that overflows) the whole
+    stack goes through ``_solve_svd``, so every rank decision and message
+    is the SVD rule's. Stacked ``np.linalg.qr`` needs numpy >= 1.22.
 
-    Returns (q̂, failures) as ``_solve_svd`` does, with flat indices into
-    the whole stack.
+    Returns (q̂, failures) as ``_solve_svd`` does.
     """
     n, k = B.shape[-2], B.shape[-1] - 1
     # mode="raw" returns the factor transposed: Rᵀ in the lower triangle of
@@ -340,35 +341,23 @@ def _solve_qr(B, nodes):
     R, z = np.swapaxes(h[..., :k, :k] * _lower(k), -1, -2), h[..., k, :k]
     try:
         Rinv = np.linalg.inv(R)
-        solvable = True
     except np.linalg.LinAlgError:
         # R is upper triangular, so inv eliminates nothing and fails only on
-        # an exact zero on its diagonal, refusing the whole stack: those
-        # blocks get the identity here.
-        solvable = np.diagonal(R, axis1=-2, axis2=-1).all(axis=-1)
-        Rinv = np.linalg.inv(np.where(solvable[..., None, None], R, np.eye(k)))
+        # an exact zero on its diagonal, which no bound certifies.
+        return _solve_svd(B, nodes)
     # The test reads W < limit, so it forms no overflow: a W of inf or NaN
     # fails it.
     M = np.abs(R).max(axis=(-2, -1))
     W = np.abs(Rinv).max(axis=(-2, -1))
     scale = np.maximum(_EPS * max(n, k) * k * M, _TINY)
-    certified = (W < 1.0 / (_CERTIFY_MARGIN * k * scale)) & solvable
-    if certified.all():
+    if (W < 1.0 / (_CERTIFY_MARGIN * k * scale)).all():
         return _vecdot(Rinv, z[..., None, :]), {}
-    # The blocks left to the SVD get q̂ = 0 here, so their R⁻¹ overflows
-    # nothing.
-    q = _vecdot(np.where(certified[..., None, None], Rinv, 0.0), z[..., None, :])
-    rest = np.flatnonzero(~certified)
-    stack = B.reshape(-1, n, k + 1)[rest]
-    nodes = np.broadcast_to(nodes, certified.shape).reshape(-1)[rest]
-    q_rest, failed = _solve_svd(stack[..., :k], stack[..., k], nodes)
-    q.reshape(-1, k)[rest] = q_rest
-    return q, {int(rest[i]): exc for i, exc in failed.items()}
+    return _solve_svd(B, nodes)
 
 
-def _solve_svd(A, y, nodes):
-    """Least-squares coefficients of (m, n, k) blocks A on (m, n) targets y,
-    by one stacked SVD.
+def _solve_svd(B, nodes):
+    """Least-squares coefficients of (…, n, k+1) blocks [A | y], by one
+    stacked SVD of the parent blocks A.
 
     A block whose smallest singular value is at most eps · max(n, k) ·
     (largest singular value), or at most the smallest normal float, is rank
@@ -376,11 +365,12 @@ def _solve_svd(A, y, nodes):
     threshold. The values are in range (see ``GroupedSample``), so the
     singular values behind the threshold are finite.
 
-    Returns (q̂, failures): (m, k) coefficients, NaN for the failed fits,
-    and {index: RankDeficientDesign} for those.
+    Returns (q̂, failures): (…, k) coefficients, NaN for the failed fits,
+    and {flat index: RankDeficientDesign} for those, each naming its entry
+    of ``nodes`` (broadcast against the leading axes).
     """
-    n, k = A.shape[-2:]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    n, k = B.shape[-2], B.shape[-1] - 1
+    U, s, Vt = np.linalg.svd(B[..., :k], full_matrices=False)
     # numpy's matrix_rank rule, from the largest singular value, which does
     # not underflow as squared column values do. The floor keeps every fit
     # from dividing by a subnormal singular value: it binds only for a block
@@ -392,14 +382,16 @@ def _solve_svd(A, y, nodes):
     failures = {}
     if _any(deficient):
         ranks = np.count_nonzero(s > tol[..., None], axis=-1)
+        nodes = np.broadcast_to(nodes, deficient.shape)
         for i in np.flatnonzero(deficient).tolist():
             failures[i] = RankDeficientDesign(
-                f"parent block of node {nodes[i]} has rank {ranks[i]} < {k}"
+                f"parent block of node {nodes.flat[i]} has rank "
+                f"{ranks.flat[i]} < {k}"
             )
         # Dividing by NaN rather than a zero singular value makes the failed
         # fits read NaN without a warning.
         s[deficient] = np.nan
-    c = _vecdot(np.swapaxes(U, -1, -2), y[..., None, :]) / s
+    c = _vecdot(np.swapaxes(U, -1, -2), B[..., None, :, k]) / s
     return _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :]), failures
 
 
@@ -431,8 +423,8 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     when its smallest singular value is at most eps · max(n, |S_j|) · (its
     largest), or at most the smallest normal float. A bound from the R
     factor settles that rule unless the block is within a safety factor of
-    2¹⁰ of it; then a singular value decomposition decides, and its
-    decision and message are the ones reported.
+    2¹⁰ of it; then a singular value decomposition solves the block, and
+    its decision and message are the ones reported.
     Residuals are always formed explicitly, and θ̂ comes from the
     cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
@@ -447,17 +439,28 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
 
     Raises:
         ValueOutOfRange: some value of the sample is out of range.
+        ValueError: j or a parent is not a column index in 0..p−1, or j is
+            among its own parents.
         InsufficientSamples: fewer than |S_j| + 5 samples in total.
         RankDeficientDesign: collinear parent columns after centering.
     """
     sample._check_range()
+    p = sample.p
+    if not 0 <= j < p:
+        raise ValueError(f"node index {j} out of range for p={p}")
+    for i in parents:
+        if not 0 <= i < p:
+            raise ValueError(f"parent index {i} out of range for p={p}")
+    if j in parents:
+        raise ValueError(f"node {j} is among its own parents")
     n = sample.n
     k = len(parents)
     dof = n - k - 4
     if dof < 1:
         raise _too_few_samples(n, k, j)
     # The columns [parents | j], as a basic slice when k ≤ 1: a view, where
-    # a list index would copy.
+    # a list index would copy. The checks above keep the slice's bounds and
+    # step valid.
     if k == 0:
         cols = slice(j, j + 1)
     elif k == 1:
@@ -546,22 +549,24 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     # Row i holds the fit column of the node in position i.
     rows = sample._fit_rows.T[list(dag.topo_order)]
     sizes = dag.in_degrees
-    short = np.flatnonzero(sizes > n - 5)
+    # The one sample-size rule: a node needs dof ≥ 1, and r̂ = rss / dof.
+    dof = n - sizes - 4
+    short = np.flatnonzero(dof < 1)
     limit = int(short[0]) if short.size else p
     Q = np.zeros((p, p))
     R = np.zeros(p)
     adjusted = np.zeros((p, 2))
-    dof = n - sizes - 4
     failures: dict[int, RankDeficientDesign] = {}
     for k, (nodes, columns) in dag.parent_groups.items():
-        if k > n - 5:
-            # Every node of this group is short of samples (dof < 1).
+        if dof[nodes[0]] < 1:
+            # Every node of this group shares its parent count, so all are
+            # short of samples.
             continue
         q, adjusted[nodes], rss, failed = _fit_columns(
             rows[columns].transpose(0, 2, 1), nodes
         )
         Q[columns[:, :k], nodes[:, None]] = q
-        R[nodes] = rss / (n - k - 4)
+        R[nodes] = rss / dof[nodes]
         failures.update((int(nodes[i]), exc) for i, exc in failed.items())
     # A node-by-node sweep would stop at the first failure; failed fits hold
     # NaN, so they are not exact fits.

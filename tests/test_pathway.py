@@ -1,6 +1,7 @@
 """Graph layer: ordering, cycle repair, perturbation, and edge-list parsing."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,44 @@ def test_from_edges_rejects_self_loop_and_range():
         PathwayDag.from_edges([], p=-1)
     with pytest.raises(ValueError, match="node_labels length must equal p"):
         PathwayDag.from_edges([(0, 1)], p=3, labels=["A", "B"])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda edges, p: PathwayDag.from_edges(edges, p),
+        topological_order,
+        acyclic_reduction,
+    ],
+    ids=["PathwayDag", "topological_order", "acyclic_reduction"],
+)
+@pytest.mark.parametrize(
+    "edges, named",
+    [
+        ([(-1, 0)], "(-1, 0)"),
+        ([(5, 0)], "(5, 0)"),
+        ([(0, 2)], "(0, 2)"),
+        ([(5, 5)], "(5, 5)"),  # out of range before it is a self-loop
+        ([(0, 1), (1, 7), (-3, 1), (6, 0)], "(-3, 1)"),  # the smallest
+    ],
+    ids=["negative", "past-p", "at-p", "self-loop-past-p", "several"],
+)
+def test_every_entry_point_refuses_an_edge_out_of_range(entry, edges, named):
+    # One range rule, one message: the smallest offending edge is named, as
+    # PathwayDag names it.
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(named)} out of range for p=2$"):
+        entry(edges, 2)
+
+
+def test_dag_reports_whichever_of_range_and_self_loop_sorts_first():
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range"):
+        PathwayDag.from_edges([(1, 1), (0, 5)], p=2)
+    with pytest.raises(SelfLoop, match="self-loop at node 0"):
+        PathwayDag.from_edges([(0, 0), (1, 5)], p=2)
+    # acyclic_reduction drops an in-range self-loop and still refuses the
+    # out-of-range edge.
+    with pytest.raises(ValueError, match=r"edge \(1, 5\) out of range"):
+        acyclic_reduction([(0, 0), (1, 5)], p=2)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,37 @@ def test_fit_node_insufficient_samples():
         fit_node(sample, 4, parents=(0, 1))
 
 
+@pytest.mark.parametrize(
+    "j, parents, message",
+    [
+        (1, (5,), "parent index 5 out of range for p=4"),
+        (1, (0, 4), "parent index 4 out of range for p=4"),
+        (3, (0, -1), "parent index -1 out of range for p=4"),
+        (-1, (0,), "node index -1 out of range for p=4"),
+        (4, (), "node index 4 out of range for p=4"),
+        (-4, (), "node index -4 out of range for p=4"),
+        (2, (2,), "node 2 is among its own parents"),
+        (3, (0, 3), "node 3 is among its own parents"),
+    ],
+    ids=[
+        "parent-past-p",
+        "second-parent-at-p",
+        "negative-parent",
+        "negative-node",
+        "node-at-p",
+        "node-at-minus-p",
+        "own-parent",
+        "own-second-parent",
+    ],
+)
+def test_fit_node_refuses_bad_column_indices(j, parents, message):
+    # Without the check, the one-parent slice view and the list gather turn
+    # such indices into fits of other columns or into unrelated errors.
+    sample = random_sample(np.random.default_rng(11), 6, 6, 4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_node(sample, j, parents)
+
+
 # ---------------------------------------------------------------------------
 # fit_sem
 # ---------------------------------------------------------------------------
@@ -533,12 +564,13 @@ def test_fit_kernel_decides_as_the_svd_rule_and_fits_as_pinv(seed, k, blocks, sc
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, np.inf])
 def test_fit_kernel_runs_the_svd_on_the_uncertified_blocks_only(monkeypatch, k, scale):
-    # One stack mixes blocks the bound certifies with blocks it cannot: nearly
-    # collinear ones, a group-constant parent (an exact zero on R's diagonal),
-    # a well-conditioned block whose singular values lie at or below the
-    # smallest normal float, where R⁻¹ is still finite, and, for one parent,
-    # columns whose a·a is subnormal or zero. Only the second kind goes
-    # through the SVD.
+    # A stack takes one route. One that mixes blocks the bound certifies
+    # with blocks it cannot (nearly collinear ones, a group-constant parent,
+    # i.e. an exact zero on R's diagonal, a well-conditioned block whose
+    # singular values lie at or below the smallest normal float, where R⁻¹
+    # is still finite, and, for one parent, columns whose a·a is subnormal
+    # or zero) goes through the SVD whole, in one call. A stack the bound
+    # certifies block by block never reaches the SVD.
     rng = np.random.default_rng(31 + k)
     conds = [1.0, 1e17, 10.0, 1e16, 1e3, 1e15, 1e2]
     B = _conditioned_blocks(rng, 12, 10, k, conds, scale).copy()
@@ -550,15 +582,24 @@ def test_fit_kernel_runs_the_svd_on_the_uncertified_blocks_only(monkeypatch, k, 
     calls = []
     real = sem._solve_svd
 
-    def spy(A, y, nodes):
-        calls.append(list(nodes))
-        return real(A, y, nodes)
+    def spy(B, nodes):
+        calls.append(np.broadcast_to(nodes, B.shape[:-2]).ravel().tolist())
+        return real(B, nodes)
 
     monkeypatch.setattr(sem, "_solve_svd", spy)
     nodes = np.arange(len(conds)) + 40
     deficient = _check_kernel_against_svd_rule_and_pinv(B, nodes)
-    assert len(calls) == 1 and 0 < len(calls[0]) < len(conds)
-    assert deficient >= 2 and set(calls[0]) >= {40, 43}
+    assert calls == [nodes.tolist()]
+    assert deficient >= 2
+
+    # Every block at the stack's largest value, so that at 1e-300 too the
+    # bound certifies each one; one-parent blocks at scale 1 take the simple
+    # regression and never reach the QR.
+    C = _conditioned_blocks(rng, 12, 10, k, [1.0, 10.0, 1e2, 3.0], scale)
+    C = C * (np.abs(C).max() / np.abs(C).max(axis=(1, 2), keepdims=True))
+    calls.clear()
+    assert _check_kernel_against_svd_rule_and_pinv(C, np.arange(4) + 60) == 0
+    assert calls == []
 
 
 def test_fit_sem_agrees_with_a_node_by_node_fit_node_sweep():
