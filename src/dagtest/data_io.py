@@ -123,8 +123,6 @@ def load_expression(
                 f"{path}: need a header row and at least one sample row"
             )
         header = [field.strip() for field in header_row[1]]
-        if len(header) < 2:
-            raise ParseError(f"{path}: header must name at least one gene")
         group_col = None
         for idx, name in enumerate(header[1:], start=1):
             if name.lower() == "group":
@@ -134,6 +132,8 @@ def load_expression(
             idx for idx in range(1, len(header)) if idx != group_col
         ]
         genes = [header[idx] for idx in gene_cols]
+        if not genes:
+            raise ParseError(f"{path}: header must name at least one gene")
         seen: set[str] = set()
         for gene in genes:
             if not gene:

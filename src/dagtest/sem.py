@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -125,22 +126,16 @@ class GroupedSample:
 
     @cached_property
     def centered(self) -> np.ndarray:
-        """X with each group centered at its own column means: (I − P_W)X."""
-        return self._fit_rows[: self.n]
+        """X with each group centered at its own column means: (I − P_W)X.
 
-    @cached_property
-    def _fit_rows(self) -> np.ndarray:
-        """(n+2) × p: ``centered``, then the two rows of ``means``.
-
-        Node fits take their columns from here. The mean rows go through a
-        fit's residual product with the data rows, which turns them into the
-        parent-adjusted means x̄_j − x̄_S·q̂ that θ̂ is made of.
+        Every node fit and Gram matrix reads the data through these rows and
+        ``means``. Read-only, because it is shared.
         """
-        n1, n = self.n1, self.n
-        out = np.empty((n + 2, self.p))
+        n1 = self.n1
+        out = np.empty_like(self.X)
         np.subtract(self.X[:n1], self.means[0], out=out[:n1])
-        np.subtract(self.X[n1:], self.means[1], out=out[n1:n])
-        out[n:] = self.means
+        np.subtract(self.X[n1:], self.means[1], out=out[n1:])
+        out.flags.writeable = False
         return out
 
     @cached_property
@@ -225,13 +220,6 @@ class NodeFit:
     r_hat: float
     dof: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_hat", np.asarray(self.q_hat, dtype=float))
-        if self.r_hat < 0:
-            raise ValueError("r_hat must be nonnegative")
-        if self.dof < 1:
-            raise ValueError("dof must be at least 1")
-
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
@@ -256,11 +244,8 @@ def _any(mask) -> bool:
 def _fit_columns(B, nodes):
     """OLS fits of target columns, each on its own block of k parent columns.
 
-    Each fit is one augmented block [A | y]: k parent columns, then the
-    target. Every column holds n group-centered values followed by its two
-    group means (the layout of ``GroupedSample._fit_rows``). The solve reads
-    the first n rows only; the residual product covers all n + 2, so its last
-    two entries are the parent-adjusted means x̄_j − x̄_S·q̂.
+    Each fit is one augmented block [A | y] of group-centered columns
+    (``GroupedSample.centered``): k parent columns, then the target.
 
     Shapes broadcast over leading axes: ``fit_node`` passes one fit with no
     leading axis, ``fit_sem`` a stack of fits that share one parent count,
@@ -272,30 +257,33 @@ def _fit_columns(B, nodes):
     block, and the whole stack by SVD otherwise.
 
     Args:
-        B: (…, n+2, k+1) augmented blocks, the target column last.
+        B: (…, n, k+1) augmented blocks, the target column last.
         nodes: (…) topological positions, named in error messages.
 
     Returns:
-        (q̂, adjusted, rss, failures): (…, k) coefficients; (…, 2)
-        parent-adjusted means, group 1 then group 2; (…) residual sums of
+        (q̂, rss, failures): (…, k) coefficients; (…) residual sums of
         squares; and {flat index: RankDeficientDesign} for the fits that
-        failed, whose entries are NaN.
+        failed, whose entries are NaN. Residuals are formed explicitly, so a
+        group-constant column gives an exact r̂ = 0 and an exact fit the
+        floating-point floor.
     """
-    n, k = B.shape[-2] - 2, B.shape[-1] - 1
+    k = B.shape[-1] - 1
     y = B[..., k]
     if k == 0:
         # q̂ is empty: the (…, 0) parent part of one row of the blocks.
-        return B[..., 0, :0], *_split(y, n), {}
+        return B[..., 0, :0], _vecdot(y, y), {}
     if k == 1:
-        a = B[..., :n, 0]
+        a = B[..., 0]
         aa = _vecdot(a, a)
         # The rank rule grants rank 1 to every nonzero column (eps·n < 1), so
         # only a stack holding a zero or subnormal a·a needs the QR route.
         if not _any(aa <= _TINY):
-            q = (_vecdot(a, y[..., :n]) / aa)[..., None]
-            return q, *_split(y - B[..., 0] * q, n), {}
-    q, failures = _solve_qr(B[..., :n, :], nodes)
-    return q, *_split(y - (B[..., :k] @ q[..., None])[..., 0], n), failures
+            q = (_vecdot(a, y) / aa)[..., None]
+            r = y - a * q
+            return q, _vecdot(r, r), {}
+    q, failures = _solve_qr(B, nodes)
+    r = y - (B[..., :k] @ q[..., None])[..., 0]
+    return q, _vecdot(r, r), failures
 
 
 # The factor c by which a block's singular-value bounds must clear the rank
@@ -395,16 +383,6 @@ def _solve_svd(B, nodes):
     return _vecdot(np.swapaxes(Vt, -1, -2), c[..., None, :]), failures
 
 
-def _split(resid, n):
-    """(parent-adjusted means, residual sum of squares) of an (n+2)-row residual.
-
-    Residuals are formed explicitly, so a group-constant column gives an
-    exact r̂ = 0 and an exact fit the floating-point floor.
-    """
-    r = resid[..., :n]
-    return resid[..., n:], _vecdot(r, r)
-
-
 def _too_few_samples(n: int, k: int, j) -> InsufficientSamples:
     return InsufficientSamples(
         f"need n1+n2 >= |S_j|+5 for node {j}: n={n}, |S_j|={k}"
@@ -425,8 +403,8 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     factor settles that rule unless the block is within a safety factor of
     2¹⁰ of it; then a singular value decomposition solves the block, and
     its decision and message are the ones reported.
-    Residuals are always formed explicitly, and θ̂ comes from the
-    cached group means: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
+    Residuals are always formed explicitly, and θ̂ is the group means through
+    the fit: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
     Args:
         sample: the grouped expression matrix (columns in any fixed order).
@@ -468,13 +446,20 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
         cols = slice(parents[0], j + step if j + step >= 0 else None, step)
     else:
         cols = [*parents, j]
-    q, adjusted, rss, failures = _fit_columns(sample._fit_rows[:, cols], j)
+    q, rss, failures = _fit_columns(sample.centered[:, cols], j)
     if failures:
         raise failures[0]
-    m1, m2 = adjusted.tolist()
-    return NodeFit(
-        j=j, q_hat=q, theta_hat=(m2, m1 - m2), r_hat=float(rss) / dof, dof=dof
-    )
+    # θ̂ from each group's means x of [parents | j]: x_j − x_S·q̂, where map
+    # stops at the k parents; for a few parents a Python sum costs less than
+    # numpy calls. ``take`` gathers a column list faster than a list index;
+    # the centered block keeps the list index, whose column-major copy the
+    # QR reads faster.
+    M = sample.means[:, cols] if k < 2 else sample.means.take(cols, axis=1)
+    qs = q.tolist()
+    x1, x2 = M.tolist()
+    m1 = x1[k] - sum(map(mul, x1, qs))
+    m2 = x2[k] - sum(map(mul, x2, qs))
+    return NodeFit(j, q, (m2, m1 - m2), float(rss) / dof, dof)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,8 +531,10 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
     sample._check_range(dag)
     p, n = dag.p, sample.n
-    # Row i holds the fit column of the node in position i.
-    rows = sample._fit_rows.T[list(dag.topo_order)]
+    # Row i holds the centered column of the node in position i. An index
+    # array converts the order once for both gathers.
+    topo = np.fromiter(dag.topo_order, np.intp, p)
+    rows = sample.centered.T[topo]
     sizes = dag.in_degrees
     # The one sample-size rule: a node needs dof ≥ 1, and r̂ = rss / dof.
     dof = n - sizes - 4
@@ -555,16 +542,13 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     limit = int(short[0]) if short.size else p
     Q = np.zeros((p, p))
     R = np.zeros(p)
-    adjusted = np.zeros((p, 2))
     failures: dict[int, RankDeficientDesign] = {}
     for k, (nodes, columns) in dag.parent_groups.items():
         if dof[nodes[0]] < 1:
             # Every node of this group shares its parent count, so all are
             # short of samples.
             continue
-        q, adjusted[nodes], rss, failed = _fit_columns(
-            rows[columns].transpose(0, 2, 1), nodes
-        )
+        q, rss, failed = _fit_columns(rows[columns].transpose(0, 2, 1), nodes)
         Q[columns[:, :k], nodes[:, None]] = q
         R[nodes] = rss / dof[nodes]
         failures.update((int(nodes[i]), exc) for i, exc in failed.items())
@@ -583,7 +567,11 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         else:
             exc = _too_few_samples(n, int(sizes[first]), first)
         raise type(exc)(f"node {label}: {exc}") from exc
-    theta = np.column_stack((adjusted[:, 1], adjusted[:, 0] - adjusted[:, 1]))
+    # θ̂ is the group means through (I − Q̂), as t2dag forms its statistic
+    # from the mean difference.
+    M = sample.means[:, topo]
+    m1, m2 = M - M @ Q
+    theta = np.column_stack((m2, m1 - m2))
     return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, theta_hat=theta, dof=dof)
 
 

@@ -12,7 +12,7 @@ independent of scheduling and thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,6 +79,8 @@ class ConfounderConfig:
             raise ConfigError("/confounders/c_density", "must lie in (0, 1]")
         if not (_is_number(self.c_scale) and self.c_scale > 0.0):
             raise ConfigError("/confounders/c_scale", "must be positive")
+        if not math.isfinite(self.c_scale):
+            raise ConfigError("/confounders/c_scale", "must be finite")
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,12 @@ class SimConfig:
             "/p0_fraction",
             "children cannot outnumber the non-root positions",
         )
+        # The confounder variance 0.2²/max|Q| needs an edge.
+        need(
+            self.confounders is None or self.p0_fraction > 0.0,
+            "/confounders",
+            "need p0_fraction > 0: the confounder variance divides by max|Q|",
+        )
         integer("nb_failures", 1)
         need(0.0 < number("nb_success") < 1.0, "/nb_success", "must lie in (0, 1)")
         need(number("kappa") > 0.0, "/kappa", "must be positive")
@@ -204,8 +212,9 @@ _SECTIONS = {"confounders": ConfounderConfig, "perturbation": EdgePerturbation}
 
 def _read_fields(cls, doc, path: str = ""):
     """The config ``cls`` built from the JSON object ``doc`` at ``path``, whose
-    keys are all fields of ``cls``. A section is read the same way at its own
-    path; a null section takes the field's default."""
+    keys are all fields of ``cls`` and hold every field without a default. A
+    section is read the same way at its own path; a null section takes the
+    field's default."""
     if not isinstance(doc, Mapping):
         raise ConfigError(path or "/", "must be a JSON object")
     known = {f.name for f in fields(cls)}
@@ -218,10 +227,10 @@ def _read_fields(cls, doc, path: str = ""):
             kwargs.pop(key, None)
         else:
             kwargs[key] = _read_fields(section, kwargs[key], f"{path}/{key}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path or "/", str(exc)) from exc
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ConfigError(f"{path}/{f.name}", "missing required field")
+    return cls(**kwargs)
 
 
 def read_config_document(doc) -> tuple[SimConfig, list[float]]:

@@ -712,6 +712,15 @@ def test_cmd_simulate_custom_methods(tmp_path):
             [1, 2],
             "config error at /: must be a JSON object",
         ),
+        # The first missing field in field order is named.
+        (["simulate"], {"p": 5}, "config error at /n1: missing required field"),
+        (["simulate"], {"n1": 10, "n2": 10}, "config error at /p: missing required field"),
+        (
+            ["simulate"],
+            {"n1": 10, "n2": 10, "p": 5, "p0_fraction": 0, "confounders": {}},
+            "config error at /confounders: need p0_fraction > 0: the "
+            "confounder variance divides by max|Q|",
+        ),
     ],
 )
 def test_cli_checks_exit_2(workdir, capsys, command, doc, err):

@@ -97,9 +97,11 @@ def test_load_labels_names_file_lines(tmp_path):
 
 @pytest.mark.parametrize("loader", [load_labels, load_expression])
 def test_csv_reader_errors_are_parse_errors(tmp_path, loader):
-    # The csv module refuses a field over 131072 characters.
+    # The csv module refuses a field over 131072 characters. Each file is
+    # valid up to that field: an expression header names a gene.
     big = "1" * 140_000
-    text = f"sample,group\ns1,1\n\ns2,{big}\n"
+    head = "sample,group\ns1,1" if loader is load_labels else "sample,G1,group\ns1,1,1"
+    text = f"{head}\n\ns2,{big}\n"
     path = write(tmp_path, "big.csv", text)
     with pytest.raises(ParseError) as info:
         loader(path)
@@ -211,6 +213,13 @@ def test_load_expression_structural_errors(tmp_path):
         load_expression(
             write(tmp_path, "dupg.csv", "sample,G1,G1,group\ns1,1,2,1\n")
         )
+    # A group column is no gene: the file is refused by name, before any
+    # sample reaches GroupedSample.
+    for text in ("sample,group\ns1,1\ns2,1\ns3,2\ns4,2\n", "sample\ns1\ns2\n"):
+        path = write(tmp_path, "nogenes.csv", text)
+        with pytest.raises(ParseError) as err:
+            load_expression(path)
+        assert str(err.value) == f"{path}: header must name at least one gene"
     # Blank lines are skipped but still counted: messages name file lines.
     blank = "sample,G1,G2,group\n\ns1,1.0,1.0,1\n \n"
     for row, message in (
@@ -273,6 +282,19 @@ def test_align_pathway_drops_unmeasured_gene():
     # Edges through the dropped node vanish; (0,3) survives remapped.
     assert aligned.edges == frozenset({(0, 2)})
     assert aligned.p == 3
+
+
+def test_align_pathway_carries_edge_signs_of_kept_edges():
+    dag = PathwayDag.from_edges(
+        [(0, 1), (1, 2), (0, 3)],
+        p=4,
+        labels=("G1", "G2", "G3", "G4"),
+        edge_signs={(0, 1): "activates", (0, 3): "inhibits"},
+    )
+    aligned, dropped = align_pathway(dag, {"G1": 0, "G3": 1, "G4": 2})
+    assert dropped == ("G2",)
+    assert aligned.edges == frozenset({(0, 2)})
+    assert aligned.edge_signs == {(0, 2): "inhibits"}
 
 
 def test_align_pathway_empty_intersection():

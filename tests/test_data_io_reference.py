@@ -89,8 +89,6 @@ def reference_load_expression(
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one sample row")
     header = [field.strip() for field in rows[0]]
-    if len(header) < 2:
-        raise ParseError(f"{path}: header must name at least one gene")
     group_col = None
     for idx, name in enumerate(header[1:], start=1):
         if name.lower() == "group":
@@ -100,6 +98,8 @@ def reference_load_expression(
         idx for idx in range(1, len(header)) if idx != group_col
     ]
     genes = [header[idx] for idx in gene_cols]
+    if not genes:
+        raise ParseError(f"{path}: header must name at least one gene")
     seen: set[str] = set()
     for offset, gene in enumerate(genes):
         if not gene:

@@ -134,6 +134,14 @@ def test_dag_divergence_matches_submatrix_solve_oracle():
         assert_allclose(dag_divergence(model, dag), expected, rtol=1e-9)
 
 
+def test_dag_divergence_refuses_a_dag_of_another_size():
+    model = PopulationModel(
+        mu1=np.ones(3), mu2=np.zeros(3), Q=np.zeros((3, 3)), R=np.ones(3)
+    )
+    with pytest.raises(ValueError, match="^model and dag dimensions differ$"):
+        dag_divergence(model, PathwayDag.from_edges([(0, 1)], p=2))
+
+
 def test_dag_divergence_singular_submatrix():
     # Hand the model a singular covariance directly.
     p = 3
@@ -164,6 +172,13 @@ def test_population_model_validation():
             Q=np.array([[0.0, 0.0], [0.5, 0.0]]),  # lower triangular entry
             R=np.ones(2),
         )
+    for mu2, Q, R in (
+        (np.zeros(3), np.zeros((2, 2)), np.ones(2)),
+        (np.zeros(2), np.zeros((2, 3)), np.ones(2)),
+        (np.zeros(2), np.zeros((2, 2)), np.ones(3)),
+    ):
+        with pytest.raises(ValueError, match="^mu1, mu2, Q, R have inconsistent"):
+            PopulationModel(mu1=np.zeros(2), mu2=mu2, Q=Q, R=R)
     with pytest.raises(ValueError, match="infs or NaNs"):
         PopulationModel(
             mu1=np.zeros(2),

@@ -402,8 +402,12 @@ def test_parse_edge_document_malformed_line_number():
 
 
 def test_parse_edge_document_empty_endpoint():
-    with pytest.raises(MalformedLine):
+    # A line's outer whitespace is stripped, so "A\t" is a one-field line;
+    # an endpoint is empty only between two tabs.
+    with pytest.raises(MalformedLine, match="^line 1: expected 2 or 3"):
         parse_edge_document("A\t\n")
+    with pytest.raises(MalformedLine, match="^line 2: empty edge endpoint$"):
+        parse_edge_document("A\tB\nA\t \tactivates\n")
 
 
 def test_parse_edge_document_duplicate_edge():

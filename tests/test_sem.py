@@ -307,6 +307,13 @@ def test_out_of_range_value_fails_every_fit_up_front(factor):
         fit_node(sample, 2, [1])
 
 
+def test_fit_sem_refuses_a_sample_of_another_width():
+    sample = random_sample(np.random.default_rng(29), 6, 6, 4)
+    dag = PathwayDag.from_edges([(0, 1)], p=3)
+    with pytest.raises(ValueError, match="^sample has 4 columns but dag has p=3$"):
+        fit_sem(sample, dag)
+
+
 def test_fit_sem_exact_fit_raises():
     rng = np.random.default_rng(15)
     X = np.column_stack(
@@ -472,8 +479,9 @@ def _conditioned_blocks(rng, n1, n2, k, conds, scale):
     sample is scaled so that its largest value is ``scale``, or half the
     range bound when that is smaller (``scale`` = inf asks for the bound).
 
-    Returns B (G, n+2, k+1): each block's fit columns from the sample,
-    parents then child, as ``fit_sem`` gathers them.
+    Returns (sample, B, M): the sample; B (G, n, k+1), each block's
+    centered columns from the sample, parents then child, as ``fit_sem``
+    gathers them; and M (G, 2, k+1), their group means.
     """
     n = n1 + n2
     groups = np.r_[np.zeros(n1, int), np.ones(n2, int)]
@@ -499,44 +507,61 @@ def _conditioned_blocks(rng, n1, n2, k, conds, scale):
     X *= min(scale, 0.5 * bound)
     sample = GroupedSample.from_groups(X[:n1], X[n1:])
     gather = np.arange(p).reshape(len(conds), k + 1)
-    return sample._fit_rows[:, gather].transpose(1, 0, 2)
+    blocks = (a[:, gather].transpose(1, 0, 2) for a in (sample.centered, sample.means))
+    return sample, *blocks
 
 
-def _check_kernel_against_svd_rule_and_pinv(B, nodes):
+def _largest(B, M):
+    """Each block's largest |value| over its centered rows and group means."""
+    return np.maximum(np.abs(B).max(axis=(1, 2)), np.abs(M).max(axis=(1, 2)))
+
+
+def _check_kernel_against_svd_rule_and_pinv(B, M, nodes, sample=None):
     """Run the kernel on the stack B and check every block: its rank
     decision and message against the SVD rule computed directly, and q̂,
-    the parent-adjusted means and the RSS against the pinv oracle, within
-    the least-squares perturbation bounds for the block's conditioning.
+    the RSS and the parent-adjusted means x̄_j − x̄_S·q̂ that θ̂ is made of
+    against the pinv oracle, within the least-squares perturbation bounds
+    for the block's conditioning. The adjusted means come from the group
+    means M through the kernel's q̂, as ``fit_node`` forms them, and, given
+    the sample of the blocks, from ``fit_node`` itself.
     Returns the number of blocks found rank deficient."""
-    q, adjusted, rss, failures = sem._fit_columns(B, nodes)
-    n, k = B.shape[1] - 2, B.shape[2] - 1
+    q, rss, failures = sem._fit_columns(B, nodes)
+    n, k = B.shape[1], B.shape[2] - 1
     deficient = 0
     for i in range(B.shape[0]):
         A, y = B[i, :, :k], B[i, :, k]
-        s = np.linalg.svd(A[:n], compute_uv=False)
+        s = np.linalg.svd(A, compute_uv=False)
         tol = max(_EPS * max(n, k) * s[0], _TINY)
         if s[-1] <= tol:
             rank = int(np.count_nonzero(s > tol))
             message = f"parent block of node {nodes[i]} has rank {rank} < {k}"
             assert str(failures[i]) == message
-            assert np.isnan(q[i]).all() and np.isnan(adjusted[i]).all()
+            assert np.isnan(q[i]).all()
             assert np.isnan(rss[i])
             deficient += 1
             continue
         assert i not in failures
         # pinv on the block scaled to s_max = 1, so its cutoff keeps every
         # singular value at any scale.
-        q_or = np.linalg.pinv(A[:n] / s[0]) @ (y[:n] / s[0])
+        q_or = np.linalg.pinv(A / s[0]) @ (y / s[0])
         resid = y - A @ q_or
-        r = float(np.sqrt(resid[:n] @ resid[:n]))
+        r = float(np.sqrt(resid @ resid))
         kappa, qn = s[0] / s[-1], float(np.linalg.norm(q_or))
         dq = 1e3 * _EPS * kappa * (qn + kappa * r / s[0])
         dr = 1e3 * _EPS * (s[0] * qn + kappa * r)
-        means = np.abs(A[n:]).max()
+        means = np.abs(M[i, :, :k]).max()
         assert np.abs(q[i] - q_or).max() <= dq
         assert abs(rss[i] - r * r) <= 2 * r * dr + dr * dr
-        scale_adj = np.abs(y[n:]).max() + means * qn
-        assert np.abs(adjusted[i] - resid[n:]).max() <= means * dq + dr + 1e3 * _EPS * scale_adj
+        scale_adj = np.abs(M[i, :, k]).max() + means * qn
+        bound = means * dq + dr + 1e3 * _EPS * scale_adj
+        m1, m2 = M[i, :, k] - M[i, :, :k] @ q_or
+        adjusted = M[i, :, k] - M[i, :, :k] @ q[i]
+        assert np.abs(adjusted - (m1, m2)).max() <= bound
+        if sample is not None:
+            j = i * (k + 1) + k
+            nf = fit_node(sample, j, range(j - k, j))
+            assert abs(nf.theta_hat[0] - m2) <= bound
+            assert abs(nf.theta_hat[1] - (m1 - m2)) <= 2 * bound
     assert sorted(failures) == sorted(
         i for i in range(B.shape[0]) if np.isnan(rss[i])
     )
@@ -557,8 +582,8 @@ def test_fit_kernel_decides_as_the_svd_rule_and_fits_as_pinv(seed, k, blocks, sc
     rng = np.random.default_rng(seed)
     n1, n2 = int(rng.integers(k + 3, 20)), int(rng.integers(3, 20))
     conds = 10.0 ** rng.uniform(0, 17, size=blocks)
-    B = _conditioned_blocks(rng, n1, n2, k, conds, scale)
-    _check_kernel_against_svd_rule_and_pinv(B, np.arange(blocks) + 7)
+    sample, B, M = _conditioned_blocks(rng, n1, n2, k, conds, scale)
+    _check_kernel_against_svd_rule_and_pinv(B, M, np.arange(blocks) + 7, sample)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -573,12 +598,17 @@ def test_fit_kernel_runs_the_svd_on_the_uncertified_blocks_only(monkeypatch, k, 
     # certifies block by block never reaches the SVD.
     rng = np.random.default_rng(31 + k)
     conds = [1.0, 1e17, 10.0, 1e16, 1e3, 1e15, 1e2]
-    B = _conditioned_blocks(rng, 12, 10, k, conds, scale).copy()
-    B[0] *= 5e-309 / np.abs(B[0]).max()
-    B[3, :-2, 0] = 0.0  # a group-constant parent
+    _, B, M = _conditioned_blocks(rng, 12, 10, k, conds, scale)
+    B, M = B.copy(), M.copy()
+    # A block is scaled with its group means, by its largest value in either.
+    factor = 5e-309 / _largest(B, M)[0]
+    B[0] *= factor
+    M[0] *= factor
+    B[3, :, 0] = 0.0  # a group-constant parent
     if k == 1:
         # One-parent stacks take the QR route only when some a·a is tiny.
         B[5] *= 1e-160
+        M[5] *= 1e-160
     calls = []
     real = sem._solve_svd
 
@@ -588,17 +618,19 @@ def test_fit_kernel_runs_the_svd_on_the_uncertified_blocks_only(monkeypatch, k, 
 
     monkeypatch.setattr(sem, "_solve_svd", spy)
     nodes = np.arange(len(conds)) + 40
-    deficient = _check_kernel_against_svd_rule_and_pinv(B, nodes)
+    deficient = _check_kernel_against_svd_rule_and_pinv(B, M, nodes)
     assert calls == [nodes.tolist()]
     assert deficient >= 2
 
     # Every block at the stack's largest value, so that at 1e-300 too the
     # bound certifies each one; one-parent blocks at scale 1 take the simple
     # regression and never reach the QR.
-    C = _conditioned_blocks(rng, 12, 10, k, [1.0, 10.0, 1e2, 3.0], scale)
-    C = C * (np.abs(C).max() / np.abs(C).max(axis=(1, 2), keepdims=True))
+    _, C, M = _conditioned_blocks(rng, 12, 10, k, [1.0, 10.0, 1e2, 3.0], scale)
+    largest = _largest(C, M)
+    factor = (largest.max() / largest)[:, None, None]
+    C, M = C * factor, M * factor
     calls.clear()
-    assert _check_kernel_against_svd_rule_and_pinv(C, np.arange(4) + 60) == 0
+    assert _check_kernel_against_svd_rule_and_pinv(C, M, np.arange(4) + 60) == 0
     assert calls == []
 
 
@@ -736,6 +768,9 @@ def test_fit_sem_raises_the_first_failure_in_topological_order(kinds):
 
 def test_sem_estimate_validation():
     dag = PathwayDag.from_edges([(0, 1)], p=2)
+    for Q, R in ((np.zeros((2, 3)), np.ones(2)), (np.zeros((2, 2)), np.ones(3))):
+        with pytest.raises(ValueError, match="^Q_hat must be p×p and R_hat length p$"):
+            SemEstimate(Q_hat=Q, R_hat=R, dag=dag)
     with pytest.raises(ValueError, match="triangular"):
         SemEstimate(
             Q_hat=np.array([[0.0, 0.0], [0.3, 0.0]]),

@@ -189,6 +189,12 @@ def test_gen_errors_rejects_unknown_family():
         gen_errors("weibull", np.array([1.0]), n=10, seed=0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_gen_errors_rejects_a_nonpositive_variance(r):
+    with pytest.raises(ValueError, match="^r_values must be positive$"):
+        gen_errors("gaussian", np.array([1.0, r]), n=10, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # gen_dataset
 # ---------------------------------------------------------------------------
@@ -323,6 +329,9 @@ def test_sim_config_dict_round_trip():
         ({"p0_fraction": [0.5]}, "/p0_fraction"),
         ({"confounders": {"c_scale": "1"}}, "/confounders/c_scale"),
         ({"perturbation": {"mode": "sideways"}}, "/perturbation/mode"),
+        ({"confounders": {"c_scale": math.inf}}, "/confounders/c_scale"),
+        # The confounder variance 0.2²/max|Q| needs an edge.
+        ({"p0_fraction": 0.0, "confounders": {}}, "/confounders"),
     ],
 )
 def test_sim_config_validation_paths(patch, path):
