@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 from typing import Sequence
 
@@ -41,22 +41,6 @@ from .errors import (
     ZeroResidualVariance,
 )
 from .pathway import PathwayDag
-
-
-class _cached_property:
-    """``functools.cached_property`` without its lock: before Python 3.12 it
-    fills every instance's cache under one lock per property, so threads
-    preparing different samples wait on each other. Racing threads here may
-    each compute a value, and keep equal ones."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +103,7 @@ class GroupedSample:
         """N = n1·n2/(n1+n2), the scale of the two-sample quadratic form."""
         return self.n1 * self.n2 / (self.n1 + self.n2)
 
-    @_cached_property
+    @cached_property
     def means(self) -> np.ndarray:
         """2 × p array: row 0 the group-1 column means, row 1 group 2's.
 
@@ -140,7 +124,7 @@ class GroupedSample:
         """x̄⁽¹⁾ − x̄⁽²⁾ as a length-p vector."""
         return self.means[0] - self.means[1]
 
-    @_cached_property
+    @cached_property
     def centered(self) -> np.ndarray:
         """X with each group centered at its own column means: (I − P_W)X.
 
@@ -154,7 +138,7 @@ class GroupedSample:
         out.flags.writeable = False
         return out
 
-    @_cached_property
+    @cached_property
     def gram(self) -> np.ndarray:
         """Pooled centered Gram matrix, formed on its smaller side: XcᵀXc
         (p × p) when p ≤ n, else XcXcᵀ (n × n), with Xc = ``centered``.
@@ -180,7 +164,7 @@ class GroupedSample:
         """
         return math.sqrt(math.sqrt(_FLOAT_MAX) / (4.0 * self.n * max(self.p, 1)))
 
-    @_cached_property
+    @cached_property
     def _out_of_range(self) -> int | None:
         """The first column holding NaN, ±inf or a value beyond
         ±``_value_bound``; None when every value is in range.
@@ -239,16 +223,16 @@ class NodeFit:
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# q̂ of every node without parents.
-_NO_PARENTS = np.empty(0)
-_NO_PARENTS.flags.writeable = False
 _FLOAT_MAX = np.finfo(float).max
-# Dot products along the last axis; numpy < 2.0 has no ``vecdot``. Also for
-# a single pair: ndarray.dot releases the GIL around every BLAS call, and in a
-# thread pool of short fits each release hands the GIL to another thread.
-_vecdot = getattr(np, "vecdot", None) or (
+# Dot products along the last axis; numpy < 2.0 has no ``vecdot``.
+_vecdot_stack = getattr(np, "vecdot", None) or (
     lambda a, b: np.einsum("...n,...n->...", a, b)
 )
+
+
+def _vecdot(a, b):
+    # ndarray.dot costs half as much for a single pair.
+    return a.dot(b) if a.ndim == 1 else _vecdot_stack(a, b)
 
 
 def _any(mask) -> bool:
@@ -264,8 +248,7 @@ def _fit_columns(B, nodes):
     (``GroupedSample.centered``): k parent columns, then the target.
 
     Shapes broadcast over leading axes: ``fit_node`` passes one fit with no
-    leading axis (only those that need the QR route; it takes the simple
-    routes itself), ``fit_sem`` a stack of fits that share one parent count,
+    leading axis, ``fit_sem`` a stack of fits that share one parent count,
     and each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
     q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
@@ -287,8 +270,8 @@ def _fit_columns(B, nodes):
     k = B.shape[-1] - 1
     y = B[..., k]
     if k == 0:
-        # q̂ is empty: the (…, 0) parent part of one row of the blocks.
-        return B[..., 0, :0], _vecdot(y, y), {}
+        # q̂ is empty, and a new array like every other route's.
+        return np.empty((*B.shape[:-2], 0)), _vecdot(y, y), {}
     if k == 1:
         a = B[..., 0]
         aa = _vecdot(a, a)
@@ -410,11 +393,11 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     """OLS fit of column j on its parent columns under the two-group design.
 
     The coefficient solve uses the group-centered columns (equivalent to
-    projecting out W = [1, g]). The routes are those of the kernel that
-    ``fit_sem`` runs on whole parent-count groups: a single parent column is
-    a simple regression unless a·a is zero or subnormal; that column, and any
-    block of two or more parents, goes through a Householder QR of
-    [parents | j], in the kernel itself. The block is rank deficient
+    projecting out W = [1, g]). This is the one-node call of the kernel that
+    ``fit_sem`` runs on whole parent-count groups, with the same routes: a
+    single parent column is a simple regression unless a·a is zero or
+    subnormal; that column, and any block of two or more parents, goes
+    through a Householder QR of [parents | j]. The block is rank deficient
     when its smallest singular value is at most eps · max(n, |S_j|) · (its
     largest), or at most the smallest normal float. A bound from the R
     factor settles that rule unless the block is within a safety factor of
@@ -453,28 +436,17 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     dof = n - k - 4
     if dof < 1:
         raise _too_few_samples(n, k, j)
-    C = sample.centered
-    if k < 2:
-        # The kernel's simple routes, in Python floats: with at most one
-        # parent a fit is a few dot products of length-n columns, and each
-        # numpy call on them costs more than its arithmetic, most of all in a
-        # thread pool of such fits.
-        y = C[:, j]
-        x1, x2 = sample.means[:, j].tolist()
-        if k == 0:
-            rss = float(_vecdot(y, y))
-            return NodeFit(j, _NO_PARENTS, (x2, x1 - x2), rss / dof, dof)
-        a = C[:, parents[0]]
-        aa = float(_vecdot(a, a))
-        if aa > _TINY:
-            q = float(_vecdot(a, y)) / aa
-            r = y - a * q
-            s1, s2 = sample.means[:, parents[0]].tolist()
-            m1, m2 = x1 - s1 * q, x2 - s2 * q
-            rss = float(_vecdot(r, r))
-            return NodeFit(j, np.array([q]), (m2, m1 - m2), rss / dof, dof)
-    cols = [*parents, j]
-    q, rss, failures = _fit_columns(C[:, cols], j)
+    # The columns [parents | j], as a basic slice when k ≤ 1: a view, where
+    # a list index would copy. The checks above keep the slice's bounds and
+    # step valid.
+    if k == 0:
+        cols = slice(j, j + 1)
+    elif k == 1:
+        step = j - parents[0]
+        cols = slice(parents[0], j + step if j + step >= 0 else None, step)
+    else:
+        cols = [*parents, j]
+    q, rss, failures = _fit_columns(sample.centered[:, cols], j)
     if failures:
         raise failures[0]
     # θ̂ from each group's means x of [parents | j]: x_j − x_S·q̂, where map
@@ -482,7 +454,7 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     # numpy calls. ``take`` gathers a column list faster than a list index;
     # the centered block keeps the list index, whose column-major copy the
     # QR reads faster.
-    M = sample.means.take(cols, axis=1)
+    M = sample.means[:, cols] if k < 2 else sample.means.take(cols, axis=1)
     qs = q.tolist()
     x1, x2 = M.tolist()
     m1 = x1[k] - sum(map(mul, x1, qs))

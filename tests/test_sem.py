@@ -523,11 +523,13 @@ def _check_kernel_against_svd_rule_and_pinv(B, M, nodes, sample=None):
     against the pinv oracle, within the least-squares perturbation bounds
     for the block's conditioning. The adjusted means come from the group
     means M through the kernel's q̂, as ``fit_node`` forms them, and, given
-    the sample of the blocks, from ``fit_node`` itself.
+    the sample of the blocks, from ``fit_node`` itself and from ``fit_sem``
+    on a dag whose edges join each full-rank block's parents to its child.
     Returns the number of blocks found rank deficient."""
     q, rss, failures = sem._fit_columns(B, nodes)
     n, k = B.shape[1], B.shape[2] - 1
     deficient = 0
+    expected = {}
     for i in range(B.shape[0]):
         A, y = B[i, :, :k], B[i, :, k]
         s = np.linalg.svd(A, compute_uv=False)
@@ -562,9 +564,27 @@ def _check_kernel_against_svd_rule_and_pinv(B, M, nodes, sample=None):
             nf = fit_node(sample, j, range(j - k, j))
             assert abs(nf.theta_hat[0] - m2) <= bound
             assert abs(nf.theta_hat[1] - (m1 - m2)) <= 2 * bound
+            expected[j] = (m1, m2, bound)
     assert sorted(failures) == sorted(
         i for i in range(B.shape[0]) if np.isnan(rss[i])
     )
+    if sample is not None:
+        edges = [(j - c, j) for j in expected for c in range(1, k + 1)]
+        dag = PathwayDag.from_edges(edges, p=sample.p)
+        try:
+            theta = fit_sem(sample, dag).theta_hat
+        except ZeroResidualVariance as exc:
+            # Below about 1e-160 a sum of squares can underflow to 0, and
+            # fit_sem refuses that node as an exact fit, as fit_node finds it.
+            j = int(str(exc).split(":")[0].removeprefix("node "))
+            parents = range(j - k, j) if j in expected else ()
+            assert fit_node(sample, j, parents).r_hat == 0.0
+            return deficient
+        position = {node: pos for pos, node in enumerate(dag.topo_order)}
+        for j, (m1, m2, bound) in expected.items():
+            t1, t2 = theta[position[j]]
+            assert abs(t1 - m2) <= bound
+            assert abs(t2 - (m1 - m2)) <= 2 * bound
     return deficient
 
 
