@@ -182,7 +182,7 @@ def t2dag(
 
 def _t2dag_pair(est: SemEstimate, sample: GroupedSample, dag: PathwayDag) -> dict:
     p = dag.p
-    d = sample.mean_diff[list(dag.topo_order)]
+    d = sample.mean_diff[dag.topo_index]
     chi2_stat = sample.effective_n * _precision_form(d, est.Q_hat, est.R_hat)
     z_stat = (chi2_stat - p) / math.sqrt(2.0 * p)
     meta = _meta(sample, dag)

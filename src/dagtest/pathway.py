@@ -51,10 +51,10 @@ class PathwayDag:
 
     The graph is its edges: the topological order and the parent sets are
     derived from ``p`` and ``edges`` on construction and cannot be passed in.
-    The fit plan (``in_degrees``, ``parent_groups``, ``support``) and the
-    counts built on it are derived from them on first use, once per dag; they
-    are not fields, so equality, hashing and the repr ignore them. Their
-    arrays are read-only, so threads can share a dag.
+    The fit plan (``topo_index``, ``in_degrees``, ``parent_groups``,
+    ``support``) and the counts built on it are derived from them on first
+    use, once per dag; they are not fields, so equality, hashing and the
+    repr ignore them. Their arrays are read-only, so threads can share a dag.
 
     Attributes:
         p: number of nodes (genes).
@@ -122,6 +122,12 @@ class PathwayDag:
     def in_degrees(self) -> np.ndarray:
         """Parent-set size per topological position; read-only."""
         return _read_only(np.fromiter(map(len, self.parent_sets), np.intp, self.p))
+
+    @cached_property
+    def topo_index(self) -> np.ndarray:
+        """``topo_order`` as a read-only index array: gathering with it
+        converts no list per call."""
+        return _read_only(np.fromiter(self.topo_order, np.intp, self.p))
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +473,8 @@ def parse_edge_document(
                 lineno, f"expected 2 or 3 tab-separated fields, got {len(parts)}"
             )
         src, dst = parts[0].strip(), parts[1].strip()
-        if not src or not dst:
+        # The line is stripped, so its first field is never empty.
+        if not dst:
             raise MalformedLine(lineno, "empty edge endpoint")
         e = (intern(src), intern(dst))
         if e in seen:

@@ -531,9 +531,8 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
     sample._check_range(dag)
     p, n = dag.p, sample.n
-    # Row i holds the centered column of the node in position i. An index
-    # array converts the order once for both gathers.
-    topo = np.fromiter(dag.topo_order, np.intp, p)
+    # Row i holds the centered column of the node in position i.
+    topo = dag.topo_index
     rows = sample.centered.T[topo]
     sizes = dag.in_degrees
     # The one sample-size rule: a node needs dof ≥ 1, and r̂ = rss / dof.

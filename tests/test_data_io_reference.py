@@ -390,3 +390,205 @@ def test_loader_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
     assert isinstance(sample, GroupedSample)
     assert sample.X.tobytes() == np.concatenate([X[0::2], X[1::2]]).tobytes()
     assert peak <= 6 * X.nbytes, peak / X.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Files of several blocks
+# ---------------------------------------------------------------------------
+
+# Enough rows for three blocks of plain lines, so that rows in a later block,
+# and ids repeated across blocks, reach the checks.
+BLOCK_FILE_ROWS = 80
+
+
+def block_file_lines(group_pos, seed=0, p=4):
+    """The lines of an expression file of ``BLOCK_FILE_ROWS`` rows, without
+    terminators, as ``[header, row 0, row 1, ...]``: the group column sits
+    at ``group_pos`` (None: no group column)."""
+    rng = random.Random(seed)
+    header = ["sample", *(f"G{j}" for j in range(p))]
+    if group_pos is not None:
+        header.insert(group_pos, "group")
+    lines = [",".join(header)]
+    for i in range(BLOCK_FILE_ROWS):
+        row = [f"s{i}", *(repr(round(rng.gauss(0.0, 3.0), 6)) for _ in range(p))]
+        if group_pos is not None:
+            row.insert(group_pos, str(1 + i % 2))
+        lines.append(",".join(row))
+    return lines
+
+
+def set_cell(lines, row, gene, text, group_pos):
+    """Put ``text`` in gene column ``gene`` of data row ``row``."""
+    fields = lines[row + 1].split(",")
+    col = 1 + gene
+    if group_pos is not None and col >= group_pos:
+        col += 1
+    fields[col] = text
+    lines[row + 1] = ",".join(fields)
+
+
+def set_id(lines, row, text):
+    fields = lines[row + 1].split(",")
+    fields[0] = text
+    lines[row + 1] = ",".join(fields)
+
+
+BLOCK_CASES = {
+    "valid": lambda lines, gp: None,
+    "bad_cell_late": lambda lines, gp: set_cell(lines, 70, 2, "abc", gp),
+    "non_finite_late": lambda lines, gp: set_cell(lines, 70, 1, "-inf", gp),
+    "extra_field_late": lambda lines, gp: lines.__setitem__(71, lines[71] + ",1.0"),
+    "missing_field_late": lambda lines, gp: lines.__setitem__(
+        71, lines[71].rsplit(",", 1)[0]
+    ),
+    "duplicate_id_across_blocks": lambda lines, gp: set_id(lines, 75, "s3"),
+    "empty_id_late": lambda lines, gp: set_id(lines, 66, " "),
+    "padded_id_late": lambda lines, gp: set_id(lines, 66, " s66\t"),
+    "non_finite_then_bad_cell": lambda lines, gp: (
+        set_cell(lines, 5, 0, "nan", gp), set_cell(lines, 50, 3, "1e", gp)
+    ),
+    "two_non_finite_blocks": lambda lines, gp: (
+        set_cell(lines, 50, 3, "inf", gp), set_cell(lines, 5, 2, "NaN", gp)
+    ),
+    "non_finite_then_extra_field": lambda lines, gp: (
+        set_cell(lines, 5, 0, "nan", gp),
+        lines.__setitem__(71, lines[71] + ",2"),
+    ),
+    "blank_lines_in_blocks": lambda lines, gp: (
+        lines.insert(40, ",," + "," * (gp is not None)),
+        lines.insert(20, " \t"),
+        lines.insert(60, ""),
+    ),
+    "blank_lines_then_bad_cell": lambda lines, gp: (
+        lines.insert(40, ",,,"),
+        lines.insert(10, ""),
+        set_cell(lines, 70, 0, "x1", gp),
+    ),
+    "exotic_cells_late": lambda lines, gp: (
+        set_cell(lines, 60, 0, "1_000", gp),
+        set_cell(lines, 61, 1, "١٢", gp),
+        set_cell(lines, 62, 2, "\x1f2", gp),
+    ),
+    "quoted_id_late": lambda lines, gp: set_id(lines, 40, '"s40"'),
+    "quoted_id_then_bad_cell": lambda lines, gp: (
+        set_id(lines, 40, '"s\n40"'), set_cell(lines, 70, 1, "abc", gp)
+    ),
+    "nul_late_then_ragged": lambda lines, gp: (
+        set_id(lines, 40, "s\x0040"),
+        lines.__setitem__(71, lines[71] + ",1.0"),
+    ),
+    "nul_cell_late": lambda lines, gp: set_cell(lines, 45, 0, "1.5\x00", gp),
+    "unicode_cells_late": lambda lines, gp: (
+        set_cell(lines, 60, 0, "\xa01.5", gp), set_cell(lines, 61, 3, "１２", gp)
+    ),
+}
+
+BLOCK_LABELS = {
+    # (group column position, labels file: None, "all" or "missing_late")
+    "group_last": (5, None),
+    "group_first": (1, None),
+    "group_middle": (3, None),
+    "sidecar": (None, "all"),
+    "sidecar_missing_late": (None, "missing_late"),
+}
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("labels_mode", sorted(BLOCK_LABELS))
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_loader_matches_reference_across_blocks(
+    tmp_path, case, labels_mode, terminator
+):
+    group_pos, sidecar = BLOCK_LABELS[labels_mode]
+    lines = block_file_lines(group_pos)
+    BLOCK_CASES[case](lines, group_pos)
+    path = tmp_path / "expr.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(terminator.join(lines) + terminator)
+    labels = None
+    if sidecar is not None:
+        rows = [(f"s{i}", 1 + i % 2) for i in range(BLOCK_FILE_ROWS)]
+        if sidecar == "missing_late":
+            del rows[72]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample,group\n" + "".join(f"{s},{g}\n" for s, g in rows))
+        labels = str(labels)
+    expected = outcome(reference_load_expression, str(path), labels)
+    assert outcome(load_expression, str(path), labels) == expected
+    if case == "valid" and sidecar != "missing_late":
+        assert expected[0] == "ok"
+
+
+def test_loader_matches_reference_after_a_line_over_the_field_limit(tmp_path):
+    # A line longer than the csv field limit, each of whose fields is
+    # within it, is read by the csv module, and so is the rest of the file.
+    lines = block_file_lines(5)
+    limit = 2 * max(len(line) for line in lines)
+    pad = " " * (limit // 3)
+    set_cell(lines, 50, 0, pad + "1.5", 5)
+    set_cell(lines, 50, 2, "2.5" + pad, 5)
+    path = tmp_path / "expr.csv"
+    old = csv.field_size_limit(limit)
+    try:
+        for bad_row in (None, 70):
+            if bad_row is not None:
+                set_cell(lines, bad_row, 1, "abc", 5)
+            path.write_text("\n".join(lines) + "\n")
+            expected = outcome(reference_load_expression, str(path), None)
+            assert outcome(load_expression, str(path), None) == expected
+        assert expected[1] == f"{path}: line 72, column 'G1': not a number: 'abc'"
+        # A field over the limit is the csv module's error, at its line.
+        set_cell(lines, 50, 0, pad * 4, 5)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_expression(str(path))
+        assert str(info.value) == (
+            f"{path}: line 52: field larger than field limit ({limit})"
+        )
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_plain_blocks_are_converted_by_loadtxt(tmp_path, monkeypatch):
+    # On a file of plain lines every block of rows is converted by one
+    # np.loadtxt call, and none falls back to the row-at-a-time path.
+    lines = block_file_lines(5)
+    path = tmp_path / "expr.csv"
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(rows, **kwargs):
+        calls.append(len(rows))
+        return loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    got = outcome(load_expression, str(path), None)
+    monkeypatch.undo()
+    assert got == outcome(reference_load_expression, str(path), None)
+    assert sum(calls) == BLOCK_FILE_ROWS
+    assert len(calls) == -(-BLOCK_FILE_ROWS // max(calls))
+
+
+def test_rows_before_an_undecodable_byte_are_checked_first(tmp_path):
+    # The decoder reads the file in chunks of 8192 bytes, so it meets a bad
+    # byte ahead of the row being checked. Here the bad byte is in the second
+    # chunk and in the first block of rows. Every row before it is checked
+    # first, as a row-at-a-time reader would.
+    lines = block_file_lines(5, p=60)[:21]
+    head = "\n".join(lines) + "\n"
+    assert 8192 < len(head.encode()) < 16384
+    path = tmp_path / "expr.csv"
+    for row, cell, expected in (
+        (3, "abc", "line 5, column 'G0': not a number: 'abc'"),
+        (3, "inf", "'utf-8' codec can't decode byte 0xff"),
+        (None, None, "'utf-8' codec can't decode byte 0xff"),
+    ):
+        text = list(lines)
+        if row is not None:
+            set_cell(text, row, 0, cell, 5)
+        path.write_bytes(("\n".join(text) + "\n").encode() + b"s\xff,1,2\n")
+        with pytest.raises(ParseError) as info:
+            load_expression(str(path))
+        assert str(info.value).startswith(f"{path}: {expected}")

@@ -188,6 +188,8 @@ def test_fit_plan_matches_parent_sets_and_is_read_only():
         PathwayDag.from_edges([], p=0),
     ):
         sizes = [len(s) for s in dag.parent_sets]
+        assert dag.topo_index.dtype == np.intp
+        assert dag.topo_index.tolist() == list(dag.topo_order)
         assert dag.in_degrees.tolist() == sizes
         parents, children = dag.support
         assert list(zip(children.tolist(), parents.tolist())) == [
@@ -204,7 +206,7 @@ def test_fit_plan_matches_parent_sets_and_is_read_only():
         assert dag.n_children == sum(1 for m in sizes if m)
         assert dag.max_in_degree == max(sizes, default=0)
         assert type(dag.n_children) is int and type(dag.max_in_degree) is int
-        arrays = [dag.in_degrees, *dag.support]
+        arrays = [dag.topo_index, dag.in_degrees, *dag.support]
         arrays += [a for group in dag.parent_groups.values() for a in group]
         for a in arrays:
             assert not a.flags.writeable
