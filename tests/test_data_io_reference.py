@@ -429,6 +429,7 @@ def set_cell(lines, row, gene, text, group_pos):
 
 
 def set_id(lines, row, text):
+    """Put ``text`` in the sample id field of data row ``row``."""
     fields = lines[row + 1].split(",")
     fields[0] = text
     lines[row + 1] = ",".join(fields)
