@@ -65,7 +65,20 @@ def _csv_rows(
     except csv.Error as exc:
         raise ParseError(f"{path}: line {start}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise _undecodable(path, exc) from exc
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for bytes the file's encoding cannot decode. It names
+    the bytes but not the decoder's "position N", which counts from the
+    start of the chunk the decoder was reading, not from the start of the
+    file."""
+    bad = exc.object[exc.start : exc.end]
+    what = " ".join(f"0x{byte:02x}" for byte in bad)
+    noun = "byte" if len(bad) == 1 else "bytes"
+    return ParseError(
+        f"{path}: '{exc.encoding}' codec can't decode {noun} {what}: {exc.reason}"
+    )
 
 
 def _row_blocks(
@@ -106,7 +119,7 @@ def _row_blocks(
     except UnicodeDecodeError as exc:
         if block:
             yield block
-        raise ParseError(f"{path}: {exc}") from exc
+        raise _undecodable(path, exc) from exc
     if block:
         yield block
     if rest is not None:

@@ -33,15 +33,21 @@ Baselines:
   standardized by the plug-in null variance
   2/(n1(n1−1))·tr(Σ₁²)^ + 2/(n2(n2−1))·tr(Σ₂²)^ + 4/(n1n2)·tr(Σ₁Σ₂)^,
   where the trace functionals use the leave-out cross-product estimators of
-  the original construction; upper-tail normal p-value.
+  the original construction; upper-tail normal p-value. With C_g group g's
+  centered rows and G_g = C_gC_gᵀ, all of it comes from the group means and
+  centered Grams: T = ‖d‖² − tr G₁/(n1(n1−1)) − tr G₂/(n2(n2−1)), the
+  cross trace is ‖C₁C₂ᵀ‖²_F/((n1−1)(n2−1)), and each within trace reads
+  ‖G_g‖²_F, diag G_g and C_g·x̄⁽ᵍ⁾ (see ``_within_trace``). When
+  p > n1+n2 the Grams are blocks of the sample's pooled CCᵀ.
 
 Each method belongs to one family of the table ``_FAMILIES`` (the t2dag
 pair shares one), and each family runs in two parts. The delta-free part
 reads the group-centered rows, which a shift of either group's mean does not
-move (the SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa traces),
-and raises the family's size, rank and singularity errors. The per-delta
-part reads that state and the mean difference d; Chen–Qin's variance
-estimate is not shift-invariant, so all of its work is per-delta. One
+move (the SEM fit, Hotelling's Cholesky factor, the Bai–Saranadasa traces,
+Chen–Qin's Gram norms and diagonals), and raises the family's size, rank
+and singularity errors. The per-delta part reads that state and the group
+means; Chen–Qin's variance estimate is not shift-invariant, so it reads
+C_g·x̄⁽ᵍ⁾ there, from the centered rows kept in its state. One
 runner, ``_run``, runs both parts after the range check and keeps the
 delta-free outcome, a state or its error, in a dict keyed by family. Every
 entry point passes it a dict: ``t2dag``, ``hotelling``, ``baseline`` and
@@ -278,38 +284,77 @@ def _bai_saranadasa_result(traces, sample: GroupedSample, dag) -> dict:
     return _upper_normal("bai_saranadasa", m_stat / sd, sample, dag)
 
 
-def _within_trace(gram: np.ndarray) -> float:
-    """Leave-two-out estimate of tr(Σ²) from one group's row Gram XXᵀ."""
-    n = gram.shape[0]
-    row_sum = gram.sum(axis=1)
-    adj = gram - (row_sum[:, None] - np.diag(gram)[:, None] - gram) / (n - 2.0)
-    np.fill_diagonal(adj, 0.0)
-    return float(np.sum(adj * adj.T)) / (n * (n - 1.0))
+class _ChenQinGrams(NamedTuple):
+    """Chen–Qin's delta-free part. With C_g group g's centered rows and
+    G_g = C_gC_gᵀ: C (both groups' rows), ‖G_g‖²_F and diag G_g per group,
+    and ‖C₁C₂ᵀ‖²_F."""
+
+    centered: np.ndarray
+    frobenius: tuple[float, float]
+    diagonals: tuple[np.ndarray, np.ndarray]
+    cross: float
 
 
-def _cross_trace(cross: np.ndarray) -> float:
-    """Leave-one-out estimate of tr(Σ₁Σ₂) from the cross Gram X₁X₂ᵀ."""
-    n1, n2 = cross.shape
-    left = cross - (cross.sum(axis=0)[None, :] - cross) / (n1 - 1.0)
-    right = cross - (cross.sum(axis=1)[:, None] - cross) / (n2 - 1.0)
-    return float(np.sum(left * right)) / (n1 * n2)
-
-
-def _chen_qin_result(_state, sample: GroupedSample, dag) -> dict:
-    X1, X2 = sample.X[: sample.n1], sample.X[sample.n1 :]
-    n1, n2 = sample.n1, sample.n2
-    g1 = X1 @ X1.T
-    g2 = X2 @ X2.T
-    h = X1 @ X2.T
-    t_stat = (
-        (g1.sum() - np.trace(g1)) / (n1 * (n1 - 1.0))
-        + (g2.sum() - np.trace(g2)) / (n2 * (n2 - 1.0))
-        - 2.0 * h.sum() / (n1 * n2)
+def _chen_qin_grams(sample: GroupedSample, dag) -> _ChenQinGrams:
+    """Chen–Qin's Frobenius norms from the n-side blocks of the sample's
+    cached Gram when n < p; otherwise from the per-group Grams C_gᵀC_g,
+    which share them (⟨C₁ᵀC₁, C₂ᵀC₂⟩_F = ‖C₁C₂ᵀ‖²_F). diag G_g is the
+    rows' sums of squares."""
+    _check_group_sizes(sample)
+    n1, centered = sample.n1, sample.centered
+    groups = (centered[:n1], centered[n1:])
+    if sample.n < sample.p:
+        gram = sample.gram
+        blocks = (gram[:n1, :n1], gram[n1:, n1:])
+        cross = float(np.sum(np.square(gram[:n1, n1:])))
+    else:
+        blocks = tuple(rows.T @ rows for rows in groups)
+        cross = float(np.sum(blocks[0] * blocks[1]))
+    return _ChenQinGrams(
+        centered,
+        tuple(float(np.sum(block * block)) for block in blocks),
+        tuple(np.einsum("ij,ij->i", rows, rows) for rows in groups),
+        cross,
     )
+
+
+def _within_trace(frobenius: float, diagonal: np.ndarray, u: np.ndarray) -> float:
+    """Chen & Qin's leave-two-out estimate of tr(Σ²) from one group's
+    ‖G‖²_F, diag G and u = C·x̄, with x̄ the group's mean.
+
+    The estimate is the mean over i ≠ j of a_ij·a_ji, where
+    a_ij = x_iᵀ(x_j − x̄₍ᵢⱼ₎) and x̄₍ᵢⱼ₎ is the mean of the other rows. With
+    κ = (n−1)/(n−2) and b = (u + diag G)/(n−2), a_ij = κG_ij + κu_j + b_i.
+    The rows of G and the entries of u sum to 0, and a_ii = n·b_i, so
+    n(n−1) times the estimate is κ²‖G‖²_F + 2κn·b·u + (Σb)² − n²‖b‖².
+    """
+    n = diagonal.shape[0]
+    kappa = (n - 1.0) / (n - 2.0)
+    b = (u + diagonal) / (n - 2.0)
+    total = (
+        kappa * kappa * frobenius
+        + 2.0 * kappa * n * float(b @ u)
+        + float(b.sum()) ** 2
+        - n * n * float(b @ b)
+    )
+    return total / (n * (n - 1.0))
+
+
+def _chen_qin_result(state: _ChenQinGrams, sample: GroupedSample, dag) -> dict:
+    n1, n2 = sample.n1, sample.n2
+    d = sample.mean_diff
+    diag1, diag2 = state.diagonals
+    t_stat = (
+        float(d @ d)
+        - float(diag1.sum()) / (n1 * (n1 - 1.0))
+        - float(diag2.sum()) / (n2 * (n2 - 1.0))
+    )
+    u1 = state.centered[:n1] @ sample.means[0]
+    u2 = state.centered[n1:] @ sample.means[1]
     variance = (
-        2.0 / (n1 * (n1 - 1.0)) * _within_trace(g1)
-        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(g2)
-        + 4.0 / (n1 * n2) * _cross_trace(h)
+        2.0 / (n1 * (n1 - 1.0)) * _within_trace(state.frobenius[0], diag1, u1)
+        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(state.frobenius[1], diag2, u2)
+        + 4.0 / (n1 * n2) * state.cross / ((n1 - 1.0) * (n2 - 1.0))
     )
     if not variance > 0.0:
         raise SingularCovariance(
@@ -360,7 +405,7 @@ _FAMILIES = {
     "bai_saranadasa": _Family(
         ("bai_saranadasa",), _bai_saranadasa_traces, _bai_saranadasa_result
     ),
-    "chen_qin": _Family(("chen_qin",), _check_group_sizes, _chen_qin_result),
+    "chen_qin": _Family(("chen_qin",), _chen_qin_grams, _chen_qin_result),
 }
 
 METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.methods)

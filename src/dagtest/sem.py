@@ -145,8 +145,9 @@ class GroupedSample:
 
         Both sides share their trace and Frobenius norm, which is all that
         Bai–Saranadasa reads. Hotelling needs the p × p matrix and runs only
-        when p < n − 1, where that is the smaller side. These two read the
-        data only through this matrix and the group means. Read-only,
+        when p < n − 1, where that is the smaller side. Chen–Qin reads the
+        per-group blocks of the n × n side when n < p. These three read the
+        data only through the centered rows and the group means. Read-only,
         because it is shared.
         """
         centered = self.centered

@@ -345,7 +345,13 @@ def gen_errors(family: str, r_values, n: int, seed=None) -> np.ndarray:
         raise ValueError("r_values must be positive")
     p = r.shape[0]
     if family == "gaussian":
-        return rng.normal(0.0, np.sqrt(r), size=(n, p))
+        # The bits of rng.normal(0.0, √r, (n, p)), which is 0 + √r·z on the
+        # same stream, without its per-element broadcasting; the + 0.0 turns
+        # −0.0 into 0.0 as that sum does.
+        noise = rng.standard_normal((n, p))
+        noise *= np.sqrt(r)
+        noise += 0.0
+        return noise
     if family == "uniform":
         # An overflow to inf is caught below: numpy refuses an infinite range
         # with OverflowError.

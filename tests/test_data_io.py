@@ -122,6 +122,29 @@ def test_undecodable_bytes_are_parse_errors_naming_the_file(tmp_path, loader):
     assert "line" not in message
 
 
+@pytest.mark.parametrize("loader", [load_labels, load_expression])
+def test_undecodable_byte_message_has_no_chunk_relative_position(tmp_path, loader):
+    # The decoder reads 8192-byte chunks: a bad byte at file offset
+    # 27797 = 3 · 8192 + 3221 sits at position 3221 of its chunk, which is
+    # not its place in the file, so the message gives no position.
+    if loader is load_labels:
+        head, values = "sample,group", [""] * 2001
+    else:
+        head = "sample,G1,G2,group"
+        values = [f"{i % 7}.5,{i % 3}.25," for i in range(2001)]
+    rows = [f"sample{i:05d},{values[i]}{1 + i % 2}" for i in range(2001)]
+    data = bytearray(("\n".join([head, *rows]) + "\n").encode())
+    assert len(data) > 27797
+    data[27797] = 0xFF
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError) as info:
+        loader(str(path))
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff: invalid start byte"
+    )
+
+
 def test_load_expression_row_error_precedes_later_csv_error(tmp_path):
     # Rows are checked as they are read, so an earlier row's error wins.
     text = (

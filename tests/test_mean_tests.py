@@ -1,9 +1,13 @@
 """Test statistics: DAG-informed quadratic form, Hotelling, BS/CQ baselines."""
 
+import decimal
+import itertools
 import math
 import subprocess
 import sys
 import traceback
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,65 +242,78 @@ def bs_oracle(sample):
     return m / math.sqrt(2 * tau ** 2 * (n + 1) / n * b2)
 
 
-def cq_oracle(sample):
-    """Literal pairwise-loop transcription of the Chen-Qin statistic."""
-    X1 = sample.X[: sample.n1]
-    X2 = sample.X[sample.n1 :]
-    n1, n2 = sample.n1, sample.n2
+def cq_parts(X1, X2):
+    """(T, null variance) of the Chen-Qin statistic by a literal pairwise-loop
+    transcription, in the arithmetic of the entries: float rows, or object
+    rows of Fractions for an exact reference."""
+    n1, n2 = len(X1), len(X2)
 
     def within_mean_cross(X):
         n = len(X)
-        total = 0.0
+        total = 0
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    total += float(X[i] @ X[j])
+                    total += X[i] @ X[j]
         return total / (n * (n - 1))
 
-    cross = 0.0
+    cross = 0
     for i in range(n1):
         for j in range(n2):
-            cross += float(X1[i] @ X2[j])
-    stat = (
-        within_mean_cross(X1)
-        + within_mean_cross(X2)
-        - 2.0 * cross / (n1 * n2)
-    )
+            cross += X1[i] @ X2[j]
+    stat = within_mean_cross(X1) + within_mean_cross(X2) - 2 * cross / (n1 * n2)
 
     def tr_sigma_sq(X):
         n = len(X)
         total = np.sum(X, axis=0)
-        acc = 0.0
+        acc = 0
         for j in range(n):
             for k in range(n):
                 if j == k:
                     continue
                 mean_jk = (total - X[j] - X[k]) / (n - 2)
-                acc += float(X[j] @ (X[k] - mean_jk)) * float(
-                    X[k] @ (X[j] - mean_jk)
-                )
+                acc += (X[j] @ (X[k] - mean_jk)) * (X[k] @ (X[j] - mean_jk))
         return acc / (n * (n - 1))
 
     def tr_sigma_cross(XA, XB):
         nA, nB = len(XA), len(XB)
         totA = np.sum(XA, axis=0)
         totB = np.sum(XB, axis=0)
-        acc = 0.0
+        acc = 0
         for k in range(nA):
             mean_a = (totA - XA[k]) / (nA - 1)
             for l in range(nB):
                 mean_b = (totB - XB[l]) / (nB - 1)
-                acc += float(XA[k] @ (XB[l] - mean_b)) * float(
-                    XB[l] @ (XA[k] - mean_a)
-                )
+                acc += (XA[k] @ (XB[l] - mean_b)) * (XB[l] @ (XA[k] - mean_a))
         return acc / (nA * nB)
 
     var = (
-        2.0 / (n1 * (n1 - 1)) * tr_sigma_sq(X1)
-        + 2.0 / (n2 * (n2 - 1)) * tr_sigma_sq(X2)
-        + 4.0 / (n1 * n2) * tr_sigma_cross(X1, X2)
+        2 * tr_sigma_sq(X1) / (n1 * (n1 - 1))
+        + 2 * tr_sigma_sq(X2) / (n2 * (n2 - 1))
+        + 4 * tr_sigma_cross(X1, X2) / (n1 * n2)
     )
-    return stat / math.sqrt(var)
+    return stat, var
+
+
+def cq_oracle(sample):
+    stat, var = cq_parts(sample.X[: sample.n1], sample.X[sample.n1 :])
+    return float(stat) / math.sqrt(var)
+
+
+def cq_exact(sample):
+    """The Chen-Qin statistic from exact Fraction arithmetic on the sample's
+    doubles, rounded once to a double."""
+    exact = np.array(
+        [[Fraction(float(v)) for v in row] for row in sample.X], dtype=object
+    )
+    stat, var = cq_parts(exact[: sample.n1], exact[sample.n1 :])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        return float(dec(stat) / dec(var).sqrt())
 
 
 def test_bai_saranadasa_matches_oracle():
@@ -354,6 +371,19 @@ def test_chen_qin_matches_pairwise_loop_oracle():
         sample = random_sample(rng, 8, 10, 6, shift=0.3)
         res = baseline(sample, "chen_qin")
         assert_allclose(res.statistic, cq_oracle(sample), rtol=1e-9)
+
+
+@pytest.mark.parametrize("shift, rtol", [(0.0, 1e-12), (8.0, 1e-12), (1e4, 1e-9)])
+def test_chen_qin_matches_exact_leave_out_reference(shift, rtol):
+    # Every value is shifted by a common constant, which T and the leave-out
+    # estimators carry exactly; the reference adds nothing to the rounding.
+    rng = np.random.default_rng(53)
+    for n1, n2, p in itertools.product((3, 4, 7), (3, 4, 7), (1, 2, 5)):
+        X = rng.normal(size=(n1 + n2, p)) + shift
+        sample = GroupedSample.from_groups(X[:n1], X[n1:])
+        got = baseline(sample, "chen_qin").statistic
+        want = cq_exact(sample)
+        assert abs(got - want) <= rtol * abs(want), (n1, n2, p, got, want)
 
 
 def test_baselines_identical_groups_do_not_reject():
@@ -649,7 +679,7 @@ def test_out_of_range_sample_prepares_no_state():
 
 def test_finish_methods_reruns_no_delta_free_part(monkeypatch):
     # Every family's state that finish_methods stored on the first sample,
-    # Chen–Qin's None included, is read as that family's prepared state: no
+    # Chen–Qin's Grams included, is read as that family's prepared state: no
     # delta-free part runs again.
     rng = np.random.default_rng(8)
     sample = random_sample(rng, 10, 10, 4)

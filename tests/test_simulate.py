@@ -170,6 +170,18 @@ def test_gen_errors_centered_with_target_variance(family):
     assert_allclose(draws.var(axis=0), expected_var, rtol=0.03)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 91])
+@pytest.mark.parametrize("n, p", [(1, 1), (4, 7), (200, 100)])
+def test_gen_errors_gaussian_is_numpys_normal_bit_for_bit(seed, n, p):
+    # Scaling standard normals in place is numpy's own 0 + √r·z: the same
+    # stream gives the same bits, signed zeros included.
+    r = np.random.default_rng(seed + 100).uniform(0.01, 50.0, size=p)
+    got = gen_errors("gaussian", r, n=n, seed=np.random.default_rng(seed))
+    want = np.random.default_rng(seed).normal(0.0, np.sqrt(r), size=(n, p))
+    assert got.shape == (n, p)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_gen_errors_uniform_support():
     r = np.array([1.0 / 3.0])
     draws = gen_errors("uniform", r, n=50_000, seed=22)
@@ -676,7 +688,8 @@ def test_unshifted_draw_out_of_range_runs_each_delta_alone(monkeypatch):
 def test_shared_state_statistics_match_a_fresh_fit(name):
     # At delta = 0 the shared state's sample is the tested one: every
     # statistic is bit-identical. At delta != 0 the centered rows of the
-    # shifted sample differ from the unshifted ones in the last bits only.
+    # shifted sample, which every family's delta-free part reads (Chen–Qin's
+    # Grams too), differ from the unshifted ones in the last bits only.
     cfg = grid_configs()[name]
     for r in range(cfg.replicates):
         unshifted, _true_dag, used_dag, _model = gen_dataset(cfg, r)
@@ -692,7 +705,7 @@ def test_shared_state_statistics_match_a_fresh_fit(name):
             for g in got:
                 w = by_method[g.method]
                 assert g.to_dict()["reference"] == w.to_dict()["reference"]
-                if delta == 0.0 or g.method == "chen_qin":
+                if delta == 0.0:
                     assert g.statistic == w.statistic, (g.method, delta)
                 elif g.method == "t2dag_z":
                     chi2 = by_method["t2dag_chi2"].statistic
