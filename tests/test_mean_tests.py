@@ -375,8 +375,9 @@ def test_chen_qin_matches_pairwise_loop_oracle():
 
 @pytest.mark.parametrize("shift, rtol", [(0.0, 1e-12), (8.0, 1e-12), (1e4, 1e-9)])
 def test_chen_qin_matches_exact_leave_out_reference(shift, rtol):
-    # Every value is shifted by a common constant, which T and the leave-out
-    # estimators carry exactly; the reference adds nothing to the rounding.
+    # A common shift of every value leaves T as it is and raises the raw
+    # cross products that cancel in it; the Fraction reference is exact, so
+    # the tolerance bounds the program's own rounding at each shift.
     rng = np.random.default_rng(53)
     for n1, n2, p in itertools.product((3, 4, 7), (3, 4, 7), (1, 2, 5)):
         X = rng.normal(size=(n1 + n2, p)) + shift
