@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import chdtrc, fdtrc, ndtr
 
 from .errors import (
@@ -225,18 +225,21 @@ def _hotelling_factor(sample: GroupedSample, dag):
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
-    # n > p + 1 here, so the Gram is formed on its p × p side.
-    pooled = sample.gram / (n - 1)
-    try:
-        return cho_factor(pooled, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"pooled covariance is singular: {exc}") from exc
+    # n > p + 1 here, so the Gram is formed on its p × p side. The range
+    # check has passed, so the entries are finite.
+    factor, info = dpotrf(sample.gram / (n - 1), clean=0)
+    if info > 0:
+        raise SingularCovariance(
+            f"pooled covariance is singular: {info}-th leading minor of the "
+            "array is not positive definite"
+        )
+    return factor
 
 
 def _hotelling_result(factor, sample: GroupedSample, dag) -> dict:
     p, n = sample.p, sample.n
     diff = sample.mean_diff
-    t2 = sample.effective_n * float(diff @ cho_solve(factor, diff))
+    t2 = sample.effective_n * float(diff @ dpotrs(factor, diff)[0])
     scale = (n - p - 1) / (p * (n - 2))
     reference = {
         "family": "f",
@@ -297,9 +300,9 @@ class _ChenQinGrams(NamedTuple):
 
 def _chen_qin_grams(sample: GroupedSample, dag) -> _ChenQinGrams:
     """Chen–Qin's Frobenius norms from the n-side blocks of the sample's
-    cached Gram when n < p; otherwise from the per-group Grams C_gᵀC_g,
-    which share them (⟨C₁ᵀC₁, C₂ᵀC₂⟩_F = ‖C₁C₂ᵀ‖²_F). diag G_g is the
-    rows' sums of squares."""
+    cached Gram when n < p; otherwise from its cached per-group Grams
+    C_gᵀC_g, which share them (⟨C₁ᵀC₁, C₂ᵀC₂⟩_F = ‖C₁C₂ᵀ‖²_F). diag G_g is
+    the rows' sums of squares."""
     _check_group_sizes(sample)
     n1, centered = sample.n1, sample.centered
     groups = (centered[:n1], centered[n1:])
@@ -308,7 +311,7 @@ def _chen_qin_grams(sample: GroupedSample, dag) -> _ChenQinGrams:
         blocks = (gram[:n1, :n1], gram[n1:, n1:])
         cross = float(np.sum(np.square(gram[:n1, n1:])))
     else:
-        blocks = tuple(rows.T @ rows for rows in groups)
+        blocks = sample.group_grams
         cross = float(np.sum(blocks[0] * blocks[1]))
     return _ChenQinGrams(
         centered,

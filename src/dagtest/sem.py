@@ -139,19 +139,33 @@ class GroupedSample:
         return out
 
     @cached_property
+    def group_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C₁ᵀC₁, C₂ᵀC₂), the p × p centered Gram of each group, with C_g
+        group g's rows of ``centered``. Read-only, because it is shared."""
+        n1, centered = self.n1, self.centered
+        out = tuple(rows.T @ rows for rows in (centered[:n1], centered[n1:]))
+        for gram in out:
+            gram.flags.writeable = False
+        return out
+
+    @cached_property
     def gram(self) -> np.ndarray:
         """Pooled centered Gram matrix, formed on its smaller side: XcᵀXc
         (p × p) when p ≤ n, else XcXcᵀ (n × n), with Xc = ``centered``.
+        The p × p side is the sum of ``group_grams``, so a sample forms each
+        product once whichever methods read it.
 
         Both sides share their trace and Frobenius norm, which is all that
         Bai–Saranadasa reads. Hotelling needs the p × p matrix and runs only
         when p < n − 1, where that is the smaller side. Chen–Qin reads the
-        per-group blocks of the n × n side when n < p. These three read the
-        data only through the centered rows and the group means. Read-only,
-        because it is shared.
+        per-group blocks of the n × n side when n < p, and ``group_grams``
+        otherwise. These three read the data only through the centered rows
+        and the group means. Read-only, because it is shared.
         """
-        centered = self.centered
-        out = centered @ centered.T if self.n < self.p else centered.T @ centered
+        if self.n < self.p:
+            out = self.centered @ self.centered.T
+        else:
+            out = np.add(*self.group_grams)
         out.flags.writeable = False
         return out
 

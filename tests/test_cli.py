@@ -886,3 +886,27 @@ def test_batch_report_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_batch_single_baseline_runs_equal_methods_all(tmp_path):
+    # n = 200 > p = 60: Hotelling and Bai–Saranadasa read the pooled Gram
+    # summed from the group Grams that Chen–Qin reads, so a run of one of
+    # them reports the bytes of its results under --methods all.
+    expression, pw_dir = write_wide_batch(tmp_path)
+
+    def results(methods):
+        out = tmp_path / f"{methods}.json"
+        code = main(
+            [
+                "batch", "--expression", str(expression), "--pathway-dir",
+                str(pw_dir), "--methods", methods, "--out", str(out),
+            ]
+        )
+        assert code == 0
+        return [entry["results"] for entry in json.loads(out.read_text())["pathways"]]
+
+    every = results("all")
+    for method in ("hotelling", "bai_saranadasa"):
+        alone = results(method)
+        assert alone == [[r for r in rs if r["method"] == method] for rs in every]
+        assert all(len(rs) == 1 for rs in alone)

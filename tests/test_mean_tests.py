@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from dagtest.errors import (
     DagTestError,
@@ -225,6 +225,36 @@ def test_hotelling_dimension_guard():
     hotelling(random_sample(rng, 5, 5, 8))  # p = n - 2 is admissible
 
 
+@pytest.mark.parametrize(
+    "n1, n2, p", [(4, 3, 1), (5, 5, 8), (12, 9, 5), (30, 41, 20), (100, 100, 100)]
+)
+def test_hotelling_lapack_calls_equal_scipy_cho_factor_and_cho_solve(n1, n2, p):
+    # dpotrf and dpotrs are the LAPACK calls under cho_factor and cho_solve,
+    # so T² is the same float.
+    rng = np.random.default_rng(n1 * 1000 + p)
+    for _ in range(5):
+        sample = random_sample(rng, n1, n2, p, shift=0.2)
+        factor = cho_factor(sample.gram / (sample.n - 1), check_finite=False)
+        d = sample.mean_diff
+        want = sample.effective_n * float(d @ cho_solve(factor, d))
+        assert hotelling(sample).statistic == want
+
+
+@pytest.mark.parametrize("column, minor", [(0, 1), (2, 3)])
+def test_hotelling_singular_covariance_names_the_leading_minor(column, minor):
+    # A column constant within each group centers to exact zeros, so the
+    # Cholesky pivot of that column is exactly 0.
+    rng = np.random.default_rng(45)
+    X1, X2 = rng.normal(size=(7, 4)), rng.normal(size=(6, 4))
+    X1[:, column], X2[:, column] = 0.0, 2.0
+    with pytest.raises(SingularCovariance) as info:
+        hotelling(GroupedSample.from_groups(X1, X2))
+    assert str(info.value) == (
+        f"pooled covariance is singular: {minor}-th leading minor of the array "
+        "is not positive definite"
+    )
+
+
 # ---------------------------------------------------------------------------
 # baselines: independent oracles
 # ---------------------------------------------------------------------------
@@ -385,6 +415,60 @@ def test_chen_qin_matches_exact_leave_out_reference(shift, rtol):
         got = baseline(sample, "chen_qin").statistic
         want = cq_exact(sample)
         assert abs(got - want) <= rtol * abs(want), (n1, n2, p, got, want)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, p", [(3, 3, 2), (10, 7, 5), (50, 60, 30), (100, 100, 60), (100, 100, 100)]
+)
+def test_pooled_gram_is_the_sum_of_the_group_grams(n1, n2, p):
+    # p ≤ n: the pooled Gram adds the two group Grams, which moves it off the
+    # one pooled product C.T @ C by a few eps of ‖c_i‖·‖c_j‖ per entry.
+    rng = np.random.default_rng(60)
+    eps = np.finfo(float).eps
+    for shift in (0.0, 8.0):
+        sample = random_sample(rng, n1, n2, p, shift=shift)
+        C = sample.centered
+        grams = sample.group_grams
+        assert np.array_equal(grams[0], C[:n1].T @ C[:n1])
+        assert np.array_equal(grams[1], C[n1:].T @ C[n1:])
+        assert np.array_equal(sample.gram, grams[0] + grams[1])
+        pooled = C.T @ C
+        norms = np.sqrt(np.diag(pooled))
+        assert np.all(np.abs(sample.gram - pooled) <= 16 * eps * np.outer(norms, norms))
+
+
+def test_chen_qin_reads_the_cached_group_grams():
+    # Stand-ins in the sample's cache: Chen–Qin's norms and the pooled Gram
+    # come from them, so neither forms a product of its own.
+    rng = np.random.default_rng(61)
+    sample = random_sample(rng, 9, 8, 4)
+    A = rng.normal(size=(4, 4))
+    B = rng.normal(size=(4, 4))
+    sample.__dict__["group_grams"] = (A, B)
+    state = mean_tests._chen_qin_grams(sample, None)
+    assert sample.group_grams[0] is A and sample.group_grams[1] is B
+    assert state.frobenius == (float(np.sum(A * A)), float(np.sum(B * B)))
+    assert state.cross == float(np.sum(A * B))
+    assert np.array_equal(sample.gram, A + B)
+
+
+def test_baselines_do_not_depend_on_which_method_ran_first():
+    # Hotelling and Bai–Saranadasa read the pooled Gram, Chen–Qin the group
+    # Grams it is summed from: each gives the same float whichever of them
+    # formed the sample's Grams.
+    rng = np.random.default_rng(62)
+    X1, X2 = rng.normal(size=(100, 60)) + 8.0, rng.normal(size=(100, 60)) + 8.0
+    runs = {
+        "hotelling": lambda s: hotelling(s),
+        "bai_saranadasa": lambda s: baseline(s, "bai_saranadasa"),
+        "chen_qin": lambda s: baseline(s, "chen_qin"),
+    }
+    alone = {m: run(GroupedSample.from_groups(X1, X2)) for m, run in runs.items()}
+    for first in runs:
+        sample = GroupedSample.from_groups(X1, X2)
+        runs[first](sample)
+        for method, run in runs.items():
+            assert run(sample).statistic == alone[method].statistic, (first, method)
 
 
 def test_baselines_identical_groups_do_not_reject():

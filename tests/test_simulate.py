@@ -153,6 +153,59 @@ def test_gen_coefficients_edgeless_graph():
     assert np.all(Q == 0.0)
 
 
+def per_edge_coefficients(dag, kappa, rng):
+    """The per-edge sign loop and dense spectral norm that gen_coefficients
+    replaced, kept as its reference."""
+    p = dag.p
+    q0 = np.zeros((p, p))
+    support = sorted(
+        (i, k) for k, parents in enumerate(dag.parent_sets) for i in parents
+    )
+    if not support:
+        return q0
+    flips = rng.integers(0, 2, size=len(support))
+    for (i, k), flip in zip(support, flips):
+        q0[i, k] = -1.0 if flip else 1.0
+    return q0 / (kappa * np.linalg.norm(q0, 2))
+
+
+def coefficient_dags():
+    """Index-ordered dags (p from 2 to 100, a single edge, edgeless, every
+    forward edge), each also with its nodes relabelled by a permutation, so
+    that its topological positions are not its indices."""
+    rng = np.random.default_rng(2405)
+    dags = [
+        PathwayDag.from_edges([(0, 1)], p=2),
+        PathwayDag.from_edges([(3, 7)], p=10),
+        PathwayDag.from_edges([], p=5),
+        PathwayDag.from_edges([(i, j) for j in range(12) for i in range(j)], p=12),
+    ]
+    for p, p0 in [(2, 0.5), (5, 0.6), (17, 0.6), (40, 0.3), (60, 0.9), (100, 0.65)]:
+        dags += [gen_adjacency(p, p0, seed=int(rng.integers(1 << 30))) for _ in range(3)]
+    permuted = []
+    for dag in dags:
+        perm = rng.permutation(dag.p)
+        edges = [(perm[j], perm[k]) for j, k in dag.edges]
+        permuted.append(PathwayDag.from_edges(edges, p=dag.p))
+    return dags + permuted
+
+
+def test_gen_coefficients_matches_the_per_edge_loop():
+    # The same draws give the same sign on every edge, and the block's
+    # largest singular value moves the magnitudes in their last bits only.
+    dags = coefficient_dags()
+    assert any(dag.topo_order != tuple(range(dag.p)) for dag in dags)
+    for index, dag in enumerate(dags):
+        for kappa in (1.5, 0.7):
+            ours, theirs = stream_rng(24, index, 1), stream_rng(24, index, 1)
+            Q = gen_coefficients(dag, kappa, ours)
+            want = per_edge_coefficients(dag, kappa, theirs)
+            assert np.array_equal(np.sign(Q), np.sign(want))
+            assert_allclose(Q, want, rtol=1e-14, atol=0.0)
+            # Both consumed the same draws.
+            assert np.array_equal(ours.random(4), theirs.random(4))
+
+
 # ---------------------------------------------------------------------------
 # gen_errors
 # ---------------------------------------------------------------------------
@@ -771,7 +824,7 @@ def test_run_delta_grid_draws_each_replicate_once(adjacency_calls):
 
 def test_run_delta_grid_fits_each_replicate_once(monkeypatch):
     # One SEM fit and one Cholesky factor per replicate, not per delta.
-    calls = {"fit_sem": 0, "cho_factor": 0}
+    calls = {"fit_sem": 0, "dpotrf": 0}
     for name in calls:
         real = getattr(dagtest.mean_tests, name)
 
@@ -784,7 +837,7 @@ def test_run_delta_grid_fits_each_replicate_once(monkeypatch):
     tables = run_delta_grid(cfg, GRID, METHODS, threads=2)
     assert len(GRID) == 3
     assert all(row.n_total == cfg.replicates for t in tables for row in t.rows)
-    assert calls == {"fit_sem": cfg.replicates, "cho_factor": cfg.replicates}
+    assert calls == {"fit_sem": cfg.replicates, "dpotrf": cfg.replicates}
 
 
 def test_grid_starting_off_zero_fits_each_replicate_once(monkeypatch):
