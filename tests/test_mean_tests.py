@@ -446,7 +446,6 @@ def test_chen_qin_reads_the_cached_group_grams():
     B = rng.normal(size=(4, 4))
     sample.__dict__["group_grams"] = (A, B)
     state = mean_tests._chen_qin_grams(sample, None)
-    assert sample.group_grams[0] is A and sample.group_grams[1] is B
     assert state.frobenius == (float(np.sum(A * A)), float(np.sum(B * B)))
     assert state.cross == float(np.sum(A * B))
     assert np.array_equal(sample.gram, A + B)
@@ -459,7 +458,7 @@ def test_baselines_do_not_depend_on_which_method_ran_first():
     rng = np.random.default_rng(62)
     X1, X2 = rng.normal(size=(100, 60)) + 8.0, rng.normal(size=(100, 60)) + 8.0
     runs = {
-        "hotelling": lambda s: hotelling(s),
+        "hotelling": hotelling,
         "bai_saranadasa": lambda s: baseline(s, "bai_saranadasa"),
         "chen_qin": lambda s: baseline(s, "chen_qin"),
     }
