@@ -4,10 +4,10 @@ File formats:
 
 * Expression CSV: header row ``sample,GENE1,GENE2,...`` (first column holds
   sample identifiers; an optional column named ``group`` — any case — holds
-  labels 1/2); one row per sample. Blocks of plain lines are converted by
-  one ``np.loadtxt`` call each, and a block with any problem is read again
-  row by row; from the first quoted line on, the csv module reads the rest
-  row by row (see :func:`load_expression`).
+  labels 1/2); one row per sample. A file of plain lines is converted in
+  blocks by ``np.loadtxt``; every other file, and one in which that reader
+  meets any problem, is read whole by the csv module, row by row (see
+  :func:`load_expression`).
 * Labels CSV: ``sample,group`` rows, optional header, group ∈ {1, 2}. When a
   labels file is given it takes precedence over an in-file group column.
 * Pathway edge lists: see :mod:`dagtest.pathway`.
@@ -19,13 +19,13 @@ that round-trips to the identical double, so written reports are bit-stable.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    DagTestError,
     EmptyIntersection,
     GroupTooSmall,
     ParseError,
@@ -39,12 +39,9 @@ from .sem import GroupedSample
 _BLOCK_ROWS = 32
 
 
-def _csv_rows(
-    path: str, lines: Iterable[str], first_line: int = 1
-) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(path: str, lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(file line where the row starts, row)`` for each CSV row that
-    holds a non-blank field, where ``lines`` starts at file line
-    ``first_line``.
+    holds a non-blank field.
 
     A quoted field may span lines, so a row is numbered by its first line;
     blank lines are skipped but still counted.
@@ -56,12 +53,12 @@ def _csv_rows(
             reads ahead of the row the reader is on.
     """
     reader = csv.reader(lines)
-    start = first_line
+    start = 1
     try:
         for row in reader:
             if any(field.strip() for field in row):
                 yield start, row
-            start = first_line + reader.line_num
+            start = 1 + reader.line_num
     except csv.Error as exc:
         raise ParseError(f"{path}: line {start}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -79,52 +76,6 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(
         f"{path}: '{exc.encoding}' codec can't decode {noun} {what}: {exc.reason}"
     )
-
-
-def _row_blocks(
-    path: str, handle
-) -> Iterator[list[tuple[int, str | list[str]]]]:
-    """Yield the rows of :func:`_csv_rows` in blocks of ``(line, row)``.
-
-    A plain line, one with no ``"``, no NUL and no more characters than the
-    csv module's field size limit, is one row whose fields are exactly
-    ``text.split(",")``, where ``text`` is the line without its terminator.
-    Plain rows come as their ``text``, up to ``_BLOCK_ROWS`` to a block. From
-    the first line that is not plain, the csv reader reads the rest of the
-    file, and each of its rows comes as a list of fields, in a block of one.
-
-    Raises:
-        ParseError: as :func:`_csv_rows`; a byte that cannot be decoded is
-            raised after the rows before it have been yielded.
-    """
-    limit = csv.field_size_limit()
-    block: list = []
-    lineno = 0
-    rest = None
-    try:
-        for line in handle:
-            lineno += 1
-            if '"' in line or "\0" in line or len(line) > limit:
-                rest = itertools.chain((line,), handle)
-                break
-            text = line.rstrip("\r\n")
-            # A row is blank when every field is whitespace. A first
-            # non-space character other than a comma settles it at once.
-            head = text.lstrip()
-            if head[:1] not in ("", ",") or head.replace(",", "").strip():
-                block.append((lineno, text))
-                if len(block) == _BLOCK_ROWS:
-                    yield block
-                    block = []
-    except UnicodeDecodeError as exc:
-        if block:
-            yield block
-        raise _undecodable(path, exc) from exc
-    if block:
-        yield block
-    if rest is not None:
-        for row in _csv_rows(path, rest, lineno):
-            yield [row]
 
 
 def _field(text: str, index: int, count: int) -> str:
@@ -174,13 +125,13 @@ def load_expression(
 ) -> tuple[GroupedSample, dict[str, int]]:
     """Read an expression CSV into a group-1-first sample plus a gene index.
 
-    The file is read in one pass. Plain lines (see :func:`_row_blocks`) are
-    checked in blocks of up to ``_BLOCK_ROWS`` rows, and one ``np.loadtxt``
-    call converts a block's value cells. A block with any problem is read
-    again one row at a time, and that path raises the error. So is every row
-    from the first line that is not plain on, as the csv module parses it.
-    Either way only the float values are kept, so peak memory is a small
-    multiple of the matrix itself. A cell is a number when
+    One of two readers reads the whole file. A file of plain lines (see
+    :func:`_read_blocks`) is read in blocks of ``_BLOCK_ROWS`` rows, one
+    ``np.loadtxt`` call converting each block's value cells. Any other file,
+    and any file in which that reader meets a problem, is read again from
+    line 1 by :func:`_read_rows` through the csv module, and that reader
+    raises the error. Both keep only the float values, so peak memory is a
+    small multiple of the matrix itself. A cell is a number when
     ``float(cell.strip())`` accepts it.
 
     Returns:
@@ -197,10 +148,10 @@ def load_expression(
         GroupTooSmall: fewer than 2 samples in either group.
     """
     with open(path, newline="") as handle:
-        samples, genes = _read_samples(path, handle, labels_path)
-    if samples.non_finite is not None:
-        raise ParseError(samples.non_finite)
-    by_group = samples.by_group
+        read = _read_blocks(path, handle, labels_path)
+        if read is None:
+            read = _read_rows(path, handle, labels_path)
+    by_group, genes = read
     for label, members in by_group.items():
         if len(members) < 2:
             raise GroupTooSmall(
@@ -217,127 +168,185 @@ def load_expression(
     return sample, gene_index
 
 
-def _read_samples(
-    path: str, handle, labels_path: str | None
-) -> tuple[_SampleRows, list[str]]:
-    """Check the header and every row of an open expression file; return
-    the rows and the gene names. Its own function, so that the text of the
-    last blocks is dropped before ``load_expression`` stacks the matrix."""
-    blocks = _row_blocks(path, handle)
-    rows = next(blocks, [])
-    if len(rows) == 1:
-        rows += next(blocks, [])
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one sample row")
-    header = [field.strip() for field in _fields(rows[0][1])]
+def _header(path: str, row: list[str]) -> tuple[list[str], int | None, list[int]]:
+    """The stripped header, the group column (None: there is none) and the
+    gene columns of an expression file's first row.
+
+    Raises:
+        ParseError: no gene, or an empty or duplicate gene identifier.
+    """
+    header = [field.strip() for field in row]
     group_col = None
     for idx, name in enumerate(header[1:], start=1):
         if name.lower() == "group":
             group_col = idx
             break
     gene_cols = [idx for idx in range(1, len(header)) if idx != group_col]
-    genes = [header[idx] for idx in gene_cols]
-    if not genes:
+    if not gene_cols:
         raise ParseError(f"{path}: header must name at least one gene")
     seen: set[str] = set()
-    for gene in genes:
+    for idx in gene_cols:
+        gene = header[idx]
         if not gene:
             raise ParseError(f"{path}: empty gene identifier in header")
         if gene in seen:
             raise ParseError(f"{path}: duplicate gene identifier {gene!r} in header")
         seen.add(gene)
-
-    sidecar = load_labels(labels_path) if labels_path is not None else None
-    samples = _SampleRows(path, header, group_col, gene_cols, sidecar)
-    for block in itertools.chain((rows[1:],), blocks):
-        if not (isinstance(block[0][1], str) and samples.add_block(block)):
-            for lineno, row in block:
-                samples.add_row(lineno, _fields(row))
-    return samples, genes
+    return header, group_col, gene_cols
 
 
-def _fields(row: str | list[str]) -> list[str]:
-    """The fields of a row from :func:`_row_blocks`."""
-    return row.split(",") if isinstance(row, str) else row
+def _label(
+    path: str,
+    lineno: int,
+    sample_field: str,
+    group_field: str | None,
+    ids: set[str],
+    sidecar: dict[str, int] | None,
+) -> int:
+    """Check a row's sample id, add it to ``ids`` and return the row's
+    group; ``group_field`` is None when the file has no group column.
 
-
-class _SampleRows:
-    """The checked sample rows of one expression file, by group.
-
-    ``add_row`` takes one row and raises its first error. ``add_block``
-    takes a block of plain lines and keeps them only if none has an error.
+    Raises:
+        ParseError: an empty or repeated sample id, or a group field that
+            is not 1 or 2.
+        UnlabeledSample: no group for the sample.
     """
-
-    def __init__(
-        self,
-        path: str,
-        header: list[str],
-        group_col: int | None,
-        gene_cols: list[int],
-        sidecar: dict[str, int] | None,
-    ):
-        self.path = path
-        self.header = header
-        self.group_col = group_col
-        self.gene_cols = gene_cols
-        self.sidecar = sidecar
-        self.sample_ids: set[str] = set()
-        self.by_group: dict[int, list[np.ndarray]] = {1: [], 2: []}
-        # The message for the first non-finite cell in file order.
-        self.non_finite: str | None = None
-
-    def _label(
-        self, lineno: int, sample_field: str, group_field: str | None
-    ) -> tuple[str, int]:
-        """The row's sample id and group, or the error of the first that
-        is wrong."""
-        path = self.path
-        sample_id = sample_field.strip()
-        if not sample_id:
-            raise ParseError(f"{path}: line {lineno}: empty sample id")
-        if sample_id in self.sample_ids:
-            raise ParseError(
-                f"{path}: line {lineno}: duplicate sample id {sample_id!r}"
-            )
-        if self.sidecar is not None:
-            if sample_id not in self.sidecar:
-                raise UnlabeledSample(
-                    f"sample {sample_id!r} has no entry in the labels file"
-                )
-            return sample_id, self.sidecar[sample_id]
-        if self.group_col is None:
+    sample_id = sample_field.strip()
+    if not sample_id:
+        raise ParseError(f"{path}: line {lineno}: empty sample id")
+    if sample_id in ids:
+        raise ParseError(f"{path}: line {lineno}: duplicate sample id {sample_id!r}")
+    ids.add(sample_id)
+    if sidecar is not None:
+        if sample_id not in sidecar:
             raise UnlabeledSample(
-                f"sample {sample_id!r} is unlabeled: the file has no group "
-                "column and no labels file was given"
+                f"sample {sample_id!r} has no entry in the labels file"
             )
-        raw = group_field.strip()
-        if raw not in ("1", "2"):
-            raise ParseError(
-                f"{path}: line {lineno}: group must be 1 or 2, got {raw!r}"
-            )
-        return sample_id, int(raw)
+        return sidecar[sample_id]
+    if group_field is None:
+        raise UnlabeledSample(
+            f"sample {sample_id!r} is unlabeled: the file has no group "
+            "column and no labels file was given"
+        )
+    raw = group_field.strip()
+    if raw not in ("1", "2"):
+        raise ParseError(f"{path}: line {lineno}: group must be 1 or 2, got {raw!r}")
+    return int(raw)
 
-    def _keep_non_finite(self, lineno: int, j: int, cell: str) -> None:
-        """Keep the message for a non-finite value in gene ``j``, unless an
-        earlier cell had one."""
-        if self.non_finite is None:
-            self.non_finite = (
-                f"{self.path}: line {lineno}, column "
-                f"{self.header[self.gene_cols[j]]!r}: "
-                f"not a finite number: {cell.strip()!r}"
-            )
 
-    def add_row(self, lineno: int, row: list[str]) -> None:
-        """Check and keep one row, or raise its first error."""
-        path, header, group_col = self.path, self.header, self.group_col
+def _read_blocks(
+    path: str, handle, labels_path: str | None
+) -> tuple[dict[int, list[np.ndarray]], list[str]] | None:
+    """Read an open expression file of plain lines: return its value rows
+    by group and its gene names, or None, with the handle back at the start
+    of the file, to leave the file to :func:`_read_rows`.
+
+    A plain line has no ``"``, no NUL and no more characters than the csv
+    module's field size limit, so its fields are exactly ``text.split(",")``,
+    where ``text`` is the line without its terminator. The header and the
+    ids and groups are checked as :func:`_read_rows` checks them, and one
+    ``np.loadtxt`` call converts the value cells of each block of
+    ``_BLOCK_ROWS`` rows. It accepts a subset of the cells that
+    ``float(cell.strip())`` accepts, with the same values; it refuses
+    ``1_000`` and non-ASCII digits. The reader returns None at the first
+    thing it cannot settle: a line that is not plain, a header or row error,
+    a refused cell, a non-finite value, or a byte that cannot be decoded.
+    It takes no file that cannot be read again, such as a pipe.
+    """
+    if not handle.seekable():
+        return None
+    limit = csv.field_size_limit()
+    first = gene_cols = None
+    ids: set[str] = set()
+    by_group: dict[int, list[np.ndarray]] = {1: [], 2: []}
+    texts: list[str] = []
+    groups: list[int] = []
+    try:
+        for lineno, line in enumerate(handle, start=1):
+            if '"' in line or "\0" in line or len(line) > limit:
+                raise ValueError("not a plain line")
+            text = line.rstrip("\r\n")
+            # A row is blank when every field is whitespace. A first
+            # non-space character other than a comma settles it at once.
+            head = text.lstrip()
+            if head[:1] in ("", ",") and not head.replace(",", "").strip():
+                continue
+            if first is None:
+                first = text
+                continue
+            if gene_cols is None:
+                header, group_col, gene_cols = _header(path, first.split(","))
+                sidecar = load_labels(labels_path) if labels_path is not None else None
+                count = len(header)
+            if text.count(",") != count - 1:
+                raise ValueError("wrong field count")
+            group_field = None if group_col is None else _field(text, group_col, count)
+            groups.append(
+                _label(path, lineno, _field(text, 0, count), group_field, ids, sidecar)
+            )
+            texts.append(text)
+            if len(texts) == _BLOCK_ROWS:
+                _keep_block(by_group, groups, texts, gene_cols)
+                texts, groups = [], []
+        if gene_cols is None:
+            raise ValueError("no sample row")
+        if texts:
+            _keep_block(by_group, groups, texts, gene_cols)
+    except (ValueError, DagTestError):
+        handle.seek(0)
+        return None
+    return by_group, [header[idx] for idx in gene_cols]
+
+
+def _keep_block(
+    by_group: dict[int, list[np.ndarray]],
+    groups: list[int],
+    texts: list[str],
+    gene_cols: list[int],
+) -> None:
+    """Convert the value cells of a block of plain lines with one
+    ``np.loadtxt`` call and keep each row under its group, or raise
+    ValueError when a cell is refused or a value is not finite."""
+    values = np.loadtxt(
+        texts,
+        delimiter=",",
+        usecols=gene_cols,
+        comments=None,
+        quotechar=None,
+        dtype=float,
+        ndmin=2,
+    )
+    if values.shape != (len(texts), len(gene_cols)) or not np.isfinite(values).all():
+        raise ValueError("block not settled by np.loadtxt")
+    for group, row in zip(groups, values):
+        by_group[group].append(row)
+
+
+def _read_rows(
+    path: str, handle, labels_path: str | None
+) -> tuple[dict[int, list[np.ndarray]], list[str]]:
+    """Read an open expression file with the csv module from its first line:
+    return its value rows by group and its gene names, or raise the first
+    error (see :func:`load_expression`)."""
+    first = gene_cols = None
+    ids: set[str] = set()
+    by_group: dict[int, list[np.ndarray]] = {1: [], 2: []}
+    # The message for the first non-finite cell in file order.
+    non_finite = None
+    for lineno, row in _csv_rows(path, handle):
+        if first is None:
+            first = row
+            continue
+        if gene_cols is None:
+            header, group_col, gene_cols = _header(path, first)
+            sidecar = load_labels(labels_path) if labels_path is not None else None
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(header)} fields, "
                 f"got {len(row)}"
             )
-        sample_id, group = self._label(
-            lineno, row[0], None if group_col is None else row[group_col]
-        )
+        group_field = None if group_col is None else row[group_col]
+        group = _label(path, lineno, row[0], group_field, ids, sidecar)
         cells = (
             row[1:]
             if group_col is None
@@ -351,65 +360,21 @@ class _SampleRows:
             # one, or a cell is padded with one of the separators
             # \x1c-\x1f, which str.strip() removes and float() does not.
             values = np.array(
-                [_number(path, lineno, header[idx], row[idx]) for idx in self.gene_cols]
+                [_number(path, lineno, header[idx], row[idx]) for idx in gene_cols]
             )
         finite = np.isfinite(values)
-        if not finite.all():
+        if non_finite is None and not finite.all():
             j = int(np.argmin(finite))
-            self._keep_non_finite(lineno, j, cells[j])
-        self.sample_ids.add(sample_id)
-        self.by_group[group].append(values)
-
-    def add_block(self, block: list[tuple[int, str]]) -> bool:
-        """Check a block of plain lines and convert its value cells with one
-        ``np.loadtxt`` call. Keep the block and return True, or keep nothing
-        and return False when any row has a problem.
-
-        ``np.loadtxt`` accepts a subset of the cells that
-        ``float(cell.strip())`` accepts, with the same values. It refuses
-        ``1_000`` and non-ASCII digits, and a block holding them goes to
-        ``add_row``.
-        """
-        count, group_col = len(self.header), self.group_col
-        ids = self.sample_ids
-        added: list[str] = []
-        groups: list[int] = []
-        try:
-            for lineno, text in block:
-                if text.count(",") != count - 1:
-                    raise ValueError("wrong field count")
-                sample_id, group = self._label(
-                    lineno,
-                    _field(text, 0, count),
-                    None if group_col is None else _field(text, group_col, count),
-                )
-                ids.add(sample_id)
-                added.append(sample_id)
-                groups.append(group)
-            values = np.loadtxt(
-                [text for _, text in block],
-                delimiter=",",
-                usecols=self.gene_cols,
-                comments=None,
-                quotechar=None,
-                dtype=float,
-                ndmin=2,
+            non_finite = (
+                f"{path}: line {lineno}, column {header[gene_cols[j]]!r}: "
+                f"not a finite number: {cells[j].strip()!r}"
             )
-            if values.shape != (len(block), len(self.gene_cols)):
-                raise ValueError("wrong shape")
-        except (ValueError, ParseError, UnlabeledSample):
-            ids.difference_update(added)
-            return False
-        finite = np.isfinite(values)
-        if not finite.all():
-            i, j = divmod(int(np.argmin(finite)), finite.shape[1])
-            lineno, text = block[i]
-            self._keep_non_finite(
-                lineno, j, _field(text, self.gene_cols[j], count)
-            )
-        for group, values_row in zip(groups, values):
-            self.by_group[group].append(values_row)
-        return True
+        by_group[group].append(values)
+    if gene_cols is None:
+        raise ParseError(f"{path}: need a header row and at least one sample row")
+    if non_finite is not None:
+        raise ParseError(non_finite)
+    return by_group, [header[idx] for idx in gene_cols]
 
 
 def _number(path: str, lineno: int, column: str, field: str) -> float:

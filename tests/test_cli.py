@@ -841,9 +841,9 @@ def test_cli_process_starts_no_blas_threads():
 
 
 def write_wide_batch(root: Path) -> tuple[Path, Path]:
-    """200 samples x 300 genes and 5 pathways of 60 genes: big enough that
-    OpenBLAS with more than one thread splits the Chen–Qin row Gram products,
-    which moves the statistic's last bits."""
+    """200 samples x 300 genes and 5 pathways of 60 genes: p ≤ n in every
+    pathway, with 60 x 60 Gram products large enough for a multi-threaded
+    BLAS to split."""
     rng = np.random.default_rng(11)
     n, genes, pathways, size = 200, 300, 5, 60
     X = 8.0 + rng.normal(size=(n, genes))

@@ -10,7 +10,10 @@ return bit-identical values, group sizes and gene index.
 
 import csv
 import io
+import os
 import random
+import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -285,6 +288,14 @@ def make_case(seed, tmp_path):
         labelled = list(zip(ids, groups))
         if rng.random() < 0.2:
             labelled.pop(rng.randrange(n))
+        # Drawn after everything above, so that the files of the cases
+        # without a broken labels file are unchanged.
+        broken = rng.choice([None, None, None, "bad_group", "dup_late"])
+        if broken == "bad_group":
+            i = rng.randrange(len(labelled))
+            labelled[i] = (labelled[i][0], 3)
+        elif broken == "dup_late":
+            labelled.append(labelled[rng.randrange(len(labelled))])
         labels = tmp_path / f"labels{seed}.csv"
         labels.write_text(
             "sample,group\n" + "".join(f"{s},{g}\n" for s, g in labelled)
@@ -327,6 +338,9 @@ def test_streamed_loader_matches_reference_on_seeded_corpus(tmp_path):
         "header must name at least one gene",
     ):
         assert needle in text, needle
+    # Broken labels files, each error at its own line of the labels file.
+    assert re.search(r"labels\d+\.csv: line \d+: group must be 1 or 2, got '3'", text)
+    assert re.search(r"labels\d+\.csv: line \d+: duplicate sample id", text)
 
 
 def test_exotic_literals_parse_as_float_of_stripped_cell(tmp_path):
@@ -371,25 +385,31 @@ def test_non_finite_cell_yields_to_a_later_structural_error(tmp_path):
 def test_loader_peak_memory_is_a_small_multiple_of_the_matrix(tmp_path):
     # 200 samples x 2000 genes: 3.2 MB of float64. Holding every cell's
     # string and a Python float per cell peaked at 15x this; one row at a
-    # time stays near 2x (the row arrays, then the stacked matrix).
+    # time stays near 2x (the row arrays, then the stacked matrix). A quoted
+    # id near the end sends the file to the csv row reader after the block
+    # reader has converted most of it, whose arrays must be freed first.
     rng = np.random.default_rng(8)
     n, p = 200, 2000
     X = rng.normal(size=(n, p))
-    lines = ["sample," + ",".join(f"G{j}" for j in range(p)) + ",group"]
-    for i, row in enumerate(X.tolist()):
-        lines.append(f"s{i}," + ",".join(map(repr, row)) + f",{1 + i % 2}")
-    path = tmp_path / "wide.csv"
-    path.write_text("\n".join(lines) + "\n")
-    del lines
-    tracemalloc.start()
-    try:
-        sample, _ = load_expression(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert isinstance(sample, GroupedSample)
-    assert sample.X.tobytes() == np.concatenate([X[0::2], X[1::2]]).tobytes()
-    assert peak <= 6 * X.nbytes, peak / X.nbytes
+    expected = np.concatenate([X[0::2], X[1::2]]).tobytes()
+    for quoted_row in (None, 190):
+        lines = ["sample," + ",".join(f"G{j}" for j in range(p)) + ",group"]
+        for i, row in enumerate(X.tolist()):
+            sample_id = f'"s{i}"' if i == quoted_row else f"s{i}"
+            lines.append(f"{sample_id}," + ",".join(map(repr, row)) + f",{1 + i % 2}")
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        del lines
+        tracemalloc.start()
+        try:
+            sample, _ = load_expression(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(sample, GroupedSample)
+        assert sample.X.tobytes() == expected, quoted_row
+        assert peak <= 6 * X.nbytes, (quoted_row, peak / X.nbytes)
+        del sample
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +575,28 @@ def test_loader_matches_reference_after_a_line_over_the_field_limit(tmp_path):
         )
     finally:
         csv.field_size_limit(old)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_loader_reads_a_late_quoted_file_from_a_pipe(tmp_path):
+    # A pipe cannot be read twice, so the csv row reader reads it from the
+    # start, as it reads a regular file that the block reader gives up.
+    lines = block_file_lines(5)
+    set_id(lines, 70, '"s70"')
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "expr.csv"
+    path.write_text(text)
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,))
+    writer.start()
+    try:
+        got = outcome(load_expression, str(pipe), None)
+    finally:
+        writer.join()
+    expected = outcome(reference_load_expression, str(path), None)
+    assert expected[0] == "ok"
+    assert got == expected
 
 
 def test_plain_blocks_are_converted_by_loadtxt(tmp_path, monkeypatch):
