@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -130,9 +130,10 @@ def load_expression(
     ``np.loadtxt`` call converting each block's value cells. Any other file,
     and any file in which that reader meets a problem, is read again from
     line 1 by :func:`_read_rows` through the csv module, and that reader
-    raises the error. Both keep only the float values, so peak memory is a
-    small multiple of the matrix itself. A cell is a number when
-    ``float(cell.strip())`` accepts it.
+    raises the error. The labels file is read once, so it and the
+    expression file may be pipes. Both readers keep only the float values,
+    so peak memory is a small multiple of the matrix itself. A cell is a
+    number when ``float(cell.strip())`` accepts it.
 
     Returns:
         (sample, gene_index) where gene_index maps gene identifier to the
@@ -147,10 +148,11 @@ def load_expression(
         UnlabeledSample: a sample with no group assignment, named.
         GroupTooSmall: fewer than 2 samples in either group.
     """
+    labels = _labels_once(labels_path)
     with open(path, newline="") as handle:
-        read = _read_blocks(path, handle, labels_path)
+        read = _read_blocks(path, handle, labels)
         if read is None:
-            read = _read_rows(path, handle, labels_path)
+            read = _read_rows(path, handle, labels)
     by_group, genes = read
     for label, members in by_group.items():
         if len(members) < 2:
@@ -166,6 +168,31 @@ def load_expression(
     )
     gene_index = {gene: col for col, gene in enumerate(genes)}
     return sample, gene_index
+
+
+def _labels_once(
+    labels_path: str | None,
+) -> Callable[[], dict[str, int] | None]:
+    """A function that returns the labels file's mapping, or None when no
+    file is given. Both readers call it, after the header, but the file is
+    read on the first call only, so a pipe can be given; a ParseError from
+    that read is kept and raised again, without its earlier traceback, on
+    later calls."""
+    kept: list[dict[str, int] | ParseError] = []
+
+    def labels() -> dict[str, int] | None:
+        if labels_path is None:
+            return None
+        if not kept:
+            try:
+                kept.append(load_labels(labels_path))
+            except ParseError as exc:
+                kept.append(exc)
+        if isinstance(kept[0], ParseError):
+            raise kept[0].with_traceback(None)
+        return kept[0]
+
+    return labels
 
 
 def _header(path: str, row: list[str]) -> tuple[list[str], int | None, list[int]]:
@@ -235,7 +262,7 @@ def _label(
 
 
 def _read_blocks(
-    path: str, handle, labels_path: str | None
+    path: str, handle, labels: Callable[[], dict[str, int] | None]
 ) -> tuple[dict[int, list[np.ndarray]], list[str]] | None:
     """Read an open expression file of plain lines: return its value rows
     by group and its gene names, or None, with the handle back at the start
@@ -276,7 +303,7 @@ def _read_blocks(
                 continue
             if gene_cols is None:
                 header, group_col, gene_cols = _header(path, first.split(","))
-                sidecar = load_labels(labels_path) if labels_path is not None else None
+                sidecar = labels()
                 count = len(header)
             if text.count(",") != count - 1:
                 raise ValueError("wrong field count")
@@ -323,7 +350,7 @@ def _keep_block(
 
 
 def _read_rows(
-    path: str, handle, labels_path: str | None
+    path: str, handle, labels: Callable[[], dict[str, int] | None]
 ) -> tuple[dict[int, list[np.ndarray]], list[str]]:
     """Read an open expression file with the csv module from its first line:
     return its value rows by group and its gene names, or raise the first
@@ -339,7 +366,7 @@ def _read_rows(
             continue
         if gene_cols is None:
             header, group_col, gene_cols = _header(path, first)
-            sidecar = load_labels(labels_path) if labels_path is not None else None
+            sidecar = labels()
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(header)} fields, "

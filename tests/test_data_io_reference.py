@@ -588,15 +588,51 @@ def test_loader_reads_a_late_quoted_file_from_a_pipe(tmp_path):
     path.write_text(text)
     pipe = tmp_path / "pipe.csv"
     os.mkfifo(pipe)
-    writer = threading.Thread(target=pipe.write_text, args=(text,))
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
     writer.start()
     try:
         got = outcome(load_expression, str(pipe), None)
     finally:
-        writer.join()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
     expected = outcome(reference_load_expression, str(path), None)
     assert expected[0] == "ok"
     assert got == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("case", ["late_quote", "bad_group_late"])
+def test_loader_reads_a_labels_file_from_a_pipe_once(tmp_path, case):
+    # Both readers look up the labels file, but it is read once per load, so
+    # it can come through a pipe, as ``--labels <(...)`` gives it. Here the
+    # block reader reads the labels and then gives the expression file up:
+    # at a late quoted id, or at the labels file's own error.
+    lines = block_file_lines(None)
+    rows = [f"s{i},{1 + i % 2}" for i in range(BLOCK_FILE_ROWS)]
+    if case == "late_quote":
+        set_id(lines, 70, '"s70"')
+    else:
+        rows[72] = "s72,3"
+    path = tmp_path / "expr.csv"
+    path.write_text("\n".join(lines) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("sample,group\n" + "\n".join(rows) + "\n")
+    expected = outcome(reference_load_expression, str(path), str(labels))
+    assert expected[0] == ("ok" if case == "late_quote" else "ParseError")
+    # An anonymous pipe opened a second time is at its end, not blocked, so
+    # a second read would fail the test instead of hanging it.
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(labels.read_bytes())
+        pipe = f"/dev/fd/{read_end}"
+        got = outcome(load_expression, str(path), pipe)
+    finally:
+        os.close(read_end)
+    assert got == tuple(
+        field.replace(str(labels), pipe) if isinstance(field, str) else field
+        for field in expected
+    )
 
 
 def test_plain_blocks_are_converted_by_loadtxt(tmp_path, monkeypatch):
