@@ -1,5 +1,6 @@
 """Graph layer: ordering, cycle repair, perturbation, and edge-list parsing."""
 
+import heapq
 import itertools
 import re
 
@@ -73,6 +74,79 @@ def has_cycle(edges, p):
         return False
 
     return any(visit(j) for j in range(p) if j not in state)
+
+
+def reference_repair(edges, p):
+    """(removed, kept edges, topological order) by the repair loop that
+    rebuilds and re-sorts the adjacency after every removal, with the
+    cycle search that takes a start list and skips nodes outside it, and
+    the heap form of Kahn's algorithm. A copy kept as the reference for
+    ``acyclic_reduction``'s removal order."""
+
+    def find_cycle_in(adj, starts):
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = {u: WHITE for u in adj}
+        for start in starts:
+            if color[start] != WHITE:
+                continue
+            path = [start]
+            stack = [(start, iter(adj[start]))]
+            color[start] = GRAY
+            while stack:
+                node, neighbors = stack[-1]
+                advanced = False
+                for nxt in neighbors:
+                    if nxt not in color:
+                        continue
+                    if color[nxt] == WHITE:
+                        color[nxt] = GRAY
+                        path.append(nxt)
+                        stack.append((nxt, iter(adj[nxt])))
+                        advanced = True
+                        break
+                    if color[nxt] == GRAY:
+                        return path[path.index(nxt):]
+                if not advanced:
+                    color[node] = BLACK
+                    path.pop()
+                    stack.pop()
+        return None
+
+    working = {(int(j), int(k)) for j, k in edges}
+    removed = []
+    for j, k in sorted(working):
+        if j == k:
+            working.discard((j, k))
+            removed.append((j, k))
+    while True:
+        adj = {u: [] for u in range(p)}
+        for j, k in working:
+            adj[j].append(k)
+        for u in adj:
+            adj[u].sort()
+        cycle = find_cycle_in(adj, list(range(p)))
+        if cycle is None:
+            break
+        cycle_edges = [
+            (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
+        ]
+        victim = min(cycle_edges)
+        working.discard(victim)
+        removed.append(victim)
+    in_deg = [0] * p
+    for _, k in working:
+        in_deg[k] += 1
+    ready = [node for node in range(p) if in_deg[node] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for k in adj[node]:
+            in_deg[k] -= 1
+            if in_deg[k] == 0:
+                heapq.heappush(ready, k)
+    return removed, working, tuple(order)
 
 
 def random_dag_edges(rng, p, density=0.3):
@@ -287,15 +361,35 @@ def test_reduction_noop_on_dag():
     assert dag.edges == frozenset(edges)
 
 
+def random_digraph(rng, p):
+    """A random subset of all p² pairs, self-loops included."""
+    n_edges = int(rng.integers(0, p * p))
+    pool = [(a, b) for a in range(p) for b in range(p)]
+    picks = rng.choice(len(pool), size=min(n_edges, len(pool)), replace=False)
+    return [pool[i] for i in picks]
+
+
 def test_reduction_properties_random_digraphs():
     rng = np.random.default_rng(37)
+    corpus = []
     for _ in range(60):
         p = int(rng.integers(2, 9))
-        n_edges = int(rng.integers(0, p * p))
-        pool = [(a, b) for a in range(p) for b in range(p)]
-        picks = rng.choice(len(pool), size=min(n_edges, len(pool)), replace=False)
-        edges = [pool[i] for i in picks]
+        corpus.append((p, random_digraph(rng, p)))
+    # Graphs of up to 12 nodes, kept when they hold a self-loop and need at
+    # least two cycle edges removed: there the removal order has choices.
+    while len(corpus) < 460:
+        p = int(rng.integers(3, 13))
+        edges = random_digraph(rng, p)
+        removed = reference_repair(edges, p)[0]
+        n_loops = sum(j == k for j, k in removed)
+        if n_loops and len(removed) - n_loops >= 2:
+            corpus.append((p, edges))
+    for p, edges in corpus:
         dag, removed = acyclic_reduction(edges, p)
+        ref_removed, ref_kept, ref_order = reference_repair(edges, p)
+        assert removed == ref_removed
+        assert dag.edges == ref_kept
+        assert dag.topo_order == ref_order
         # Partition: every input edge is either kept or removed, never both.
         assert dag.edges | set(removed) == set(edges)
         assert not (dag.edges & set(removed))
