@@ -463,7 +463,11 @@ def log2_shift_transform(X: np.ndarray) -> np.ndarray:
     """log2(x − min + 1) with the overall matrix minimum, an order-preserving
     compression for raw-scale expression values."""
     X = np.asarray(X, dtype=float)
-    return np.log2(X - X.min() + 1.0)
+    # Values spanning more than the float range shift to inf, which the
+    # sample's range check then refuses with its own line.
+    with np.errstate(over="ignore"):
+        shifted = X - X.min()
+    return np.log2(shifted + 1.0)
 
 
 # ---------------------------------------------------------------------------

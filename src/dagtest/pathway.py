@@ -219,7 +219,10 @@ def topological_order(edges: Iterable[Edge], p: int) -> list[int]:
 
     Raises:
         ValueError: an edge index outside 0..p−1.
-        CycleDetected: carrying the node list of one cycle.
+        CycleDetected: carrying the node list of the first cycle that a
+            depth-first search finds, with nodes and successors in ascending
+            order. On a graph without self-loops, ``acyclic_reduction``
+            removes this cycle's smallest edge first.
     """
     edges = set(edges)
     _check_edges(edges, p)
@@ -239,44 +242,37 @@ def topological_order(edges: Iterable[Edge], p: int) -> list[int]:
             if in_deg[k] == 0:
                 heapq.heappush(ready, k)
     if len(order) < p:
-        remaining = set(range(p)) - set(order)
-        adj = {u: sorted(k for k in succ[u] if k in remaining) for u in remaining}
-        cycle = _find_cycle_in(adj, sorted(remaining))
-        raise CycleDetected(cycle if cycle is not None else sorted(remaining))
+        raise CycleDetected(_find_cycle([sorted(s) for s in succ]))
     return order
 
 
-def _find_cycle_in(adj: Mapping[int, Sequence[int]], starts: Sequence[int]) -> list[int] | None:
-    """Return one cycle's node list via iterative DFS, or None.
+def _find_cycle(adj: Sequence[Sequence[int]]) -> list[int] | None:
+    """The node list of the first cycle a depth-first search finds, or None
+    when the graph has none.
 
-    Nodes are explored in the order of ``starts`` and neighbors in the order
-    stored in ``adj``, so discovery order is deterministic.
+    ``adj[u]`` lists the successors of node u in ascending order. The search
+    starts nodes in ascending order and visits successors in that order, so
+    the cycle found is deterministic.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in adj}
-    for start in starts:
+    color = [WHITE] * len(adj)
+    for start in range(len(adj)):
         if color[start] != WHITE:
             continue
         path = [start]
-        stack = [(start, iter(adj[start]))]
+        stack = [iter(adj[start])]
         color[start] = GRAY
         while stack:
-            node, neighbors = stack[-1]
-            advanced = False
-            for nxt in neighbors:
-                if nxt not in color:
-                    continue
+            for nxt in stack[-1]:
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
                     path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    stack.append(iter(adj[nxt]))
                     break
                 if color[nxt] == GRAY:
                     return path[path.index(nxt):]
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
+            else:  # no successor left to visit: the node is done
+                color[path.pop()] = BLACK
                 stack.pop()
     return None
 
@@ -290,9 +286,9 @@ def acyclic_reduction(
     """Repair an arbitrary directed graph into a DAG.
 
     Self-loops are dropped first (in ascending node order). Then, while a cycle
-    remains, one cycle is located by depth-first search (nodes and neighbors
-    visited in ascending order) and its lexicographically smallest edge —
-    minimum source index, then minimum target index — is removed. The rule is a
+    remains, the first cycle a depth-first search finds (nodes and successors
+    visited in ascending order) loses its lexicographically smallest edge —
+    minimum source index, then minimum target index. The rule is a
     documented convention chosen for determinism; curated pathways rarely have
     more than a couple of feedback loops, so the choice is low-impact.
 
@@ -306,26 +302,18 @@ def acyclic_reduction(
     """
     working = {(int(j), int(k)) for j, k in edges}
     _check_edges(working, p)
-    removed: list[Edge] = []
-    for j, k in sorted(working):
-        if j == k:
-            working.discard((j, k))
-            removed.append((j, k))
-    while True:
-        adj = {u: [] for u in range(p)}
-        for j, k in working:
+    removed: list[Edge] = sorted((j, k) for j, k in working if j == k)
+    adj: list[list[int]] = [[] for _ in range(p)]
+    for j, k in working:
+        if j != k:
             adj[j].append(k)
-        for u in adj:
-            adj[u].sort()
-        cycle = _find_cycle_in(adj, list(range(p)))
-        if cycle is None:
-            break
-        cycle_edges = [
-            (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-        ]
-        victim = min(cycle_edges)
-        working.discard(victim)
+    for successors in adj:
+        successors.sort()
+    while (cycle := _find_cycle(adj)) is not None:
+        victim = min(zip(cycle, cycle[1:] + cycle[:1]))
+        adj[victim[0]].remove(victim[1])
         removed.append(victim)
+    working.difference_update(removed)
     signs = None
     if edge_signs:
         signs = {e: s for e, s in edge_signs.items() if e in working}

@@ -481,6 +481,38 @@ def test_cmd_test_out_of_range_root_fails_every_method(tmp_path, capsys):
     assert "failed: hotelling: gene A" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_cmd_test_log2_transform_of_values_spanning_the_float_range(
+    tmp_path, capsys
+):
+    # x − min overflows to inf where gene A holds 1e308 and gene B −1e308:
+    # gene A then fails every method on the range check, with no warning.
+    rows = ["sample,A,B,group"]
+    for i in range(12):
+        a, b = ("1e308", "-1e308") if i == 4 else (f"{i}.5", f"{i}.25")
+        rows.append(f"s{i},{a},{b},{1 if i < 6 else 2}")
+    (tmp_path / "expr.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "pw.tsv").write_text("nodes: A\n")
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "test",
+            "--expression",
+            str(tmp_path / "expr.csv"),
+            "--pathway",
+            str(tmp_path / "pw.tsv"),
+            "--log2-transform",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["results"] == []
+    _assert_every_method_names_gene_a(report["errors"])
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_batch_unreadable_pathway_files_fail_alone(workdir, capsys):
     # A file that is not valid UTF-8 and a directory matching *.tsv each
     # fail their own pathway, named by file; the other two are analyzed.
@@ -507,6 +539,7 @@ def test_cmd_batch_unreadable_pathway_files_fail_alone(workdir, capsys):
         failed = by_name[name]
         assert failed["file"] == str(pw_dir / f"{name}.tsv")
         assert failed["results"] == [] and len(failed["errors"]) == 1
+    assert by_name["binary"]["errors"][0].startswith(f"{pw_dir / 'binary.tsv'}: ")
     assert "can't decode byte 0xff" in by_name["binary"]["errors"][0]
     assert "Is a directory" in by_name["folder"]["errors"][0]
     assert by_name["chain"]["results"] and by_name["pair"]["results"]
@@ -547,6 +580,20 @@ def test_cmd_test_reports_undecodable_expression_file(workdir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {expr}: ")
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_undecodable_pathway_or_config_names_the_file(workdir, capsys, command):
+    bad = workdir / "binary.txt"
+    bad.write_bytes(b"\xff\tGA\n")
+    if command == "test":
+        argv = ["--expression", str(workdir / "expr.csv"), "--pathway", str(bad)]
+    else:
+        argv = ["--config", str(bad), "--out", str(workdir / "sim")]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
     assert "can't decode byte 0xff" in err
 
 

@@ -207,6 +207,14 @@ def test_cycle_detection_reports_actual_cycle():
         assert len(cyc) >= 2
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert (a, b) in edge_set
+        # The cycle named is the one repair breaks first.
+        removed = acyclic_reduction(edges, p)[1]
+        assert min(zip(cyc, cyc[1:] + cyc[:1])) == removed[0]
+    # The search from node 0 meets the cycle 3 -> 4 -> 3 before 1 -> 2 -> 1,
+    # so repair removes (3, 4) first, and the error names that cycle.
+    with pytest.raises(CycleDetected) as err:
+        topological_order([(0, 3), (3, 4), (4, 3), (1, 2), (2, 1)], p=5)
+    assert err.value.cycle == [3, 4]
 
 
 # ---------------------------------------------------------------------------
