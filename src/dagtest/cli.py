@@ -40,12 +40,12 @@ if "numpy" not in sys.modules and not (
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .data_io import (  # noqa: E402
-    _undecodable,
     align_pathway,
     csv_text,
     dump_json,
     load_expression,
     log2_shift_transform,
+    read_text,
 )
 from .errors import ConfigError, DagTestError  # noqa: E402
 from .mean_tests import (  # noqa: E402
@@ -69,10 +69,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     if not methods:
         raise ValueError("no methods given")
-    try:
-        method_families(methods)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; choose from {', '.join(METHODS)}") from None
+    method_families(methods)
     return methods
 
 
@@ -87,11 +84,7 @@ def _analyze_pathway(
 ) -> dict:
     """The report entry of one pathway file: parsed, its cycles broken, its
     genes aligned to the measured ones, and ``methods`` run on them."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise _undecodable(str(path), exc) from exc
-    labels, edges, signs = parse_edge_document(text)
+    labels, edges, signs = parse_edge_document(read_text(path))
     dag, removed = acyclic_reduction(
         edges, p=len(labels), labels=labels, edge_signs=signs
     )
@@ -234,13 +227,10 @@ def cmd_simulate(args) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        with open(args.config) as handle:
-            doc = json.load(handle)
+        doc = json.loads(read_text(args.config))
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
-        raise _undecodable(args.config, exc) from exc
     try:
         cfg, deltas = read_config_document(doc)
         methods = _parse_methods(args.methods)

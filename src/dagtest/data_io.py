@@ -78,6 +78,25 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
     )
 
 
+def _drop_bom(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` without one leading U+FEFF, the byte-order mark that some
+    editors write at the start of a UTF-8 file."""
+    lines = iter(lines)
+    for first in lines:
+        yield first.removeprefix("\ufeff")
+        yield from lines
+
+
+def read_text(path) -> str:
+    """A file's decoded text, less one leading byte-order mark. A byte the
+    encoding cannot decode raises a ParseError naming the file."""
+    try:
+        with open(path) as handle:
+            return "".join(_drop_bom(handle))
+    except UnicodeDecodeError as exc:
+        raise _undecodable(str(path), exc) from exc
+
+
 def _field(text: str, index: int, count: int) -> str:
     """Field ``index`` of a plain line of ``count`` fields, split from the
     nearer end so that the other fields stay one string."""
@@ -91,6 +110,7 @@ def load_labels(path: str) -> dict[str, int]:
     """Read a ``sample,group`` CSV into a mapping.
 
     The first non-blank row is a header when its group field is not 1 or 2.
+    One leading byte-order mark is dropped.
 
     Raises:
         ParseError: wrong field count, an empty or duplicate sample id, or a
@@ -98,7 +118,8 @@ def load_labels(path: str) -> dict[str, int]:
     """
     labels: dict[str, int] = {}
     with open(path, newline="") as handle:
-        for index, (lineno, row) in enumerate(_csv_rows(path, handle)):
+        rows = _csv_rows(path, _drop_bom(handle))
+        for index, (lineno, row) in enumerate(rows):
             if len(row) != 2:
                 raise ParseError(
                     f"{path}: line {lineno}: expected 2 fields, got {len(row)}"

@@ -20,10 +20,9 @@ Baselines:
       Z   = M / √(2·τ²·(n+1)/n · B²),
 
   upper-tail standard-normal p-value (the statistic is negative-shifted under
-  exact null data, so only large positive values are evidence). Both traces
-  come from the sample's pooled centered Gram, formed on its smaller side:
-  CᵀC (p × p) and CCᵀ (N × N, N = n1+n2) share their trace and Frobenius
-  norm, so when p ≫ N the statistic costs O(N²p), not O(Np²).
+  exact null data, so only large positive values are evidence). With C_g
+  group g's centered rows and G_g = C_gC_gᵀ, n·tr S_n = tr G₁ + tr G₂ and
+  n²·tr S_n² = ‖G₁‖²_F + ‖G₂‖²_F + 2‖C₁C₂ᵀ‖²_F.
 * Chen–Qin: sum of within-group mean cross-products minus twice the
   cross-group mean product,
 
@@ -33,12 +32,14 @@ Baselines:
   standardized by the plug-in null variance
   2/(n1(n1−1))·tr(Σ₁²)^ + 2/(n2(n2−1))·tr(Σ₂²)^ + 4/(n1n2)·tr(Σ₁Σ₂)^,
   where the trace functionals use the leave-out cross-product estimators of
-  the original construction; upper-tail normal p-value. With C_g group g's
-  centered rows and G_g = C_gC_gᵀ, all of it comes from the group means and
-  centered Grams: T = ‖d‖² − tr G₁/(n1(n1−1)) − tr G₂/(n2(n2−1)), the
-  cross trace is ‖C₁C₂ᵀ‖²_F/((n1−1)(n2−1)), and each within trace reads
-  ‖G_g‖²_F, diag G_g and C_g·x̄⁽ᵍ⁾ (see ``_within_trace``). When
-  p > n1+n2 the Grams are blocks of the sample's pooled CCᵀ.
+  the original construction; upper-tail normal p-value. Here
+  T = ‖d‖² − tr G₁/(n1(n1−1)) − tr G₂/(n2(n2−1)), the cross trace is
+  ‖C₁C₂ᵀ‖²_F/((n1−1)(n2−1)), and each within trace reads ‖G_g‖²_F,
+  diag G_g and C_g·x̄⁽ᵍ⁾ (see ``_within_trace``).
+
+Bai–Saranadasa and Chen–Qin read the Grams only through
+``GroupedSample.gram_norms``, which picks their smaller side: O((n1+n2)²p)
+when p ≫ n1+n2. Hotelling reads the p × p ``GroupedSample.gram``.
 
 Each method belongs to one family of the table ``_FAMILIES`` (the t2dag
 pair shares one), and each family runs in two parts. The delta-free part
@@ -225,7 +226,7 @@ def _hotelling_factor(sample: GroupedSample, dag):
         raise DimensionTooLarge(
             f"Hotelling T2 needs n1+n2 > p+1; got n1+n2={n}, p={p}"
         )
-    # n > p + 1 here, so the Gram is formed on its p × p side. The range
+    # n > p + 1 here, so the p × p Gram is the smaller side. The range
     # check has passed, so the entries are finite.
     factor, info = dpotrf(sample.gram / (n - 1), clean=0)
     if info > 0:
@@ -262,15 +263,15 @@ def _check_group_sizes(sample: GroupedSample, dag=None) -> None:
 
 
 def _bai_saranadasa_traces(sample: GroupedSample, dag) -> tuple[float, float]:
-    """(tr S_n, the null standard deviation of M) from the pooled Gram G:
-    tr S_n = tr G / n and tr S_n² = ‖G‖²_F / n² on either side of G."""
+    """(tr S_n, the null standard deviation of M) from the sample's Gram
+    norms, as the module docstring gives them."""
     _check_group_sizes(sample)
     n1, n2 = sample.n1, sample.n2
     n = n1 + n2 - 2
     tau = (n1 + n2) / (n1 * n2)
-    pooled = sample.gram / n
-    tr_s = float(np.trace(pooled))
-    tr_s2 = float(np.sum(pooled * pooled))
+    (diag1, diag2), (frob1, frob2), cross = sample.gram_norms
+    tr_s = float(diag1.sum() + diag2.sum()) / n
+    tr_s2 = (frob1 + frob2 + 2.0 * cross) / (n * n)
     b2 = n * n / ((n + 2.0) * (n - 1.0)) * (tr_s2 - tr_s * tr_s / n)
     variance = 2.0 * tau * tau * (n + 1.0) / n * b2
     if not variance > 0.0:
@@ -287,38 +288,10 @@ def _bai_saranadasa_result(traces, sample: GroupedSample, dag) -> dict:
     return _upper_normal("bai_saranadasa", m_stat / sd, sample, dag)
 
 
-class _ChenQinGrams(NamedTuple):
-    """Chen–Qin's delta-free part. With C_g group g's centered rows and
-    G_g = C_gC_gᵀ: C (both groups' rows), ‖G_g‖²_F and diag G_g per group,
-    and ‖C₁C₂ᵀ‖²_F."""
-
-    centered: np.ndarray
-    frobenius: tuple[float, float]
-    diagonals: tuple[np.ndarray, np.ndarray]
-    cross: float
-
-
-def _chen_qin_grams(sample: GroupedSample, dag) -> _ChenQinGrams:
-    """Chen–Qin's Frobenius norms from the n-side blocks of the sample's
-    cached Gram when n < p; otherwise from its cached per-group Grams
-    C_gᵀC_g, which share them (⟨C₁ᵀC₁, C₂ᵀC₂⟩_F = ‖C₁C₂ᵀ‖²_F). diag G_g is
-    the rows' sums of squares."""
+def _chen_qin_state(sample: GroupedSample, dag) -> tuple:
+    """Chen–Qin's delta-free part: the centered rows and the Gram norms."""
     _check_group_sizes(sample)
-    n1, centered = sample.n1, sample.centered
-    groups = (centered[:n1], centered[n1:])
-    if sample.n < sample.p:
-        gram = sample.gram
-        blocks = (gram[:n1, :n1], gram[n1:, n1:])
-        cross = float(np.sum(np.square(gram[:n1, n1:])))
-    else:
-        blocks = sample.group_grams
-        cross = float(np.sum(blocks[0] * blocks[1]))
-    return _ChenQinGrams(
-        centered,
-        tuple(float(np.sum(block * block)) for block in blocks),
-        tuple(np.einsum("ij,ij->i", rows, rows) for rows in groups),
-        cross,
-    )
+    return sample.centered, sample.gram_norms
 
 
 def _within_trace(frobenius: float, diagonal: np.ndarray, u: np.ndarray) -> float:
@@ -343,21 +316,21 @@ def _within_trace(frobenius: float, diagonal: np.ndarray, u: np.ndarray) -> floa
     return total / (n * (n - 1.0))
 
 
-def _chen_qin_result(state: _ChenQinGrams, sample: GroupedSample, dag) -> dict:
+def _chen_qin_result(state, sample: GroupedSample, dag) -> dict:
+    centered, ((diag1, diag2), (frob1, frob2), cross) = state
     n1, n2 = sample.n1, sample.n2
     d = sample.mean_diff
-    diag1, diag2 = state.diagonals
     t_stat = (
         float(d @ d)
         - float(diag1.sum()) / (n1 * (n1 - 1.0))
         - float(diag2.sum()) / (n2 * (n2 - 1.0))
     )
-    u1 = state.centered[:n1] @ sample.means[0]
-    u2 = state.centered[n1:] @ sample.means[1]
+    u1 = centered[:n1] @ sample.means[0]
+    u2 = centered[n1:] @ sample.means[1]
     variance = (
-        2.0 / (n1 * (n1 - 1.0)) * _within_trace(state.frobenius[0], diag1, u1)
-        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(state.frobenius[1], diag2, u2)
-        + 4.0 / (n1 * n2) * state.cross / ((n1 - 1.0) * (n2 - 1.0))
+        2.0 / (n1 * (n1 - 1.0)) * _within_trace(frob1, diag1, u1)
+        + 2.0 / (n2 * (n2 - 1.0)) * _within_trace(frob2, diag2, u2)
+        + 4.0 / (n1 * n2) * cross / ((n1 - 1.0) * (n2 - 1.0))
     )
     if not variance > 0.0:
         raise SingularCovariance(
@@ -408,7 +381,7 @@ _FAMILIES = {
     "bai_saranadasa": _Family(
         ("bai_saranadasa",), _bai_saranadasa_traces, _bai_saranadasa_result
     ),
-    "chen_qin": _Family(("chen_qin",), _chen_qin_grams, _chen_qin_result),
+    "chen_qin": _Family(("chen_qin",), _chen_qin_state, _chen_qin_result),
 }
 
 METHODS = tuple(method for entry in _FAMILIES.values() for method in entry.methods)
@@ -437,11 +410,14 @@ def method_families(methods: Sequence[str]) -> list[str]:
     """The families, in table order, that compute some of ``methods``.
 
     Raises:
-        ValueError: some method is not one of ``METHODS``.
+        ValueError: some method is not one of ``METHODS``, or is named twice.
     """
     for method in methods:
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+            choices = ", ".join(METHODS)
+            raise ValueError(f"unknown method {method!r}; choose from {choices}")
+        if methods.count(method) > 1:
+            raise ValueError(f"method {method!r} is named twice")
     return [f for f, entry in _FAMILIES.items() if set(entry.methods) & set(methods)]
 
 

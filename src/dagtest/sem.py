@@ -150,24 +150,32 @@ class GroupedSample:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Pooled centered Gram matrix, formed on its smaller side: XcᵀXc
-        (p × p) when p ≤ n, else XcXcᵀ (n × n), with Xc = ``centered``.
-        The p × p side is the sum of ``group_grams``, so a sample forms each
-        product once whichever methods read it.
-
-        Both sides share their trace and Frobenius norm, which is all that
-        Bai–Saranadasa reads. Hotelling needs the p × p matrix and runs only
-        when p < n − 1, where that is the smaller side. Chen–Qin reads the
-        per-group blocks of the n × n side when n < p, and ``group_grams``
-        otherwise. These three read the data only through the centered rows
-        and the group means. Read-only, because it is shared.
-        """
-        if self.n < self.p:
-            out = self.centered @ self.centered.T
-        else:
-            out = np.add(*self.group_grams)
+        """Pooled centered Gram CᵀC (p × p), the sum of ``group_grams``,
+        which only Hotelling reads. Read-only, because it is shared."""
+        out = np.add(*self.group_grams)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def gram_norms(self) -> tuple:
+        """((diag G₁, diag G₂), (‖G₁‖²_F, ‖G₂‖²_F), ‖C₁C₂ᵀ‖²_F), with C_g
+        group g's rows of ``centered`` and G_g = C_gC_gᵀ. The one place where
+        a Gram's side is chosen: the blocks of CCᵀ (n × n) when n < p, else
+        ``group_grams`` (p × p), which share the norms."""
+        n1, centered = self.n1, self.centered
+        groups = (centered[:n1], centered[n1:])
+        if self.n < self.p:
+            pooled = centered @ centered.T
+            blocks = (pooled[:n1, :n1], pooled[n1:, n1:])
+            cross = float(np.sum(np.square(pooled[:n1, n1:])))
+        else:
+            blocks = self.group_grams
+            cross = float(np.sum(blocks[0] * blocks[1]))
+        return (
+            tuple(np.einsum("ij,ij->i", rows, rows) for rows in groups),
+            tuple(float(np.sum(block * block)) for block in blocks),
+            cross,
+        )
 
     @property
     def _value_bound(self) -> float:

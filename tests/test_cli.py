@@ -597,6 +597,18 @@ def test_undecodable_pathway_or_config_names_the_file(workdir, capsys, command):
     assert "can't decode byte 0xff" in err
 
 
+def test_cmd_test_drops_byte_order_mark_of_pathway_file(workdir):
+    # Editors on Windows save UTF-8 with a leading U+FEFF; kept, it would
+    # make the first gene '\ufeffGA', which is not measured.
+    pathway = workdir / "bom.tsv"
+    pathway.write_bytes("\ufeffGA\tGB\nGB\tGC\n".encode())
+    out = workdir / "report.json"
+    argv = ["test", "--expression", str(workdir / "expr.csv"), "--pathway", str(pathway)]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())["pathway"]
+    assert (report["p"], report["Ne"], report["dropped_genes"]) == (3, 2, [])
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------
@@ -638,6 +650,16 @@ def test_cmd_simulate_grid_outputs(tmp_path):
     assert len(doc["experiments"]) == 2
     assert doc["experiments"][0]["config"]["delta"] == 0.0
     assert doc["experiments"][1]["config"]["delta"] == 0.4
+
+
+def test_cmd_simulate_drops_byte_order_mark_of_config(tmp_path):
+    cfg = tmp_path / "bom.cfg.json"
+    cfg.write_bytes(("\ufeff" + json.dumps(SIM_CONFIG)).encode())
+    out_dir = tmp_path / "bom"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    _, plain = run_simulate(tmp_path, SIM_CONFIG, "plain")
+    for name in ("experiment.csv", "experiment.json"):
+        assert (out_dir / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_cmd_simulate_bytes_stable_across_runs_and_threads(tmp_path):
@@ -743,6 +765,16 @@ def test_cmd_simulate_custom_methods(tmp_path):
         (["test", "--alpha", "0"], None, "--alpha must lie in (0, 1)"),
         (["test", "--alpha", "1.5"], None, "--alpha must lie in (0, 1)"),
         (["test", "--methods", ","], None, "no methods given"),
+        (
+            ["test", "--methods", "t2dag_chi2,t2dag_chi2"],
+            None,
+            "method 't2dag_chi2' is named twice",
+        ),
+        (
+            ["simulate", "--methods", "t2dag_z,t2dag_z"],
+            SIM_CONFIG,
+            "method 't2dag_z' is named twice",
+        ),
         (["batch", "--alpha0", "1"], None, "--alpha0 must lie in (0, 1)"),
         (["batch", "--threads", "0"], None, "--threads must be >= 1"),
         (["simulate", "--threads", "0"], SIM_CONFIG, "--threads must be >= 1"),

@@ -58,6 +58,13 @@ def test_load_labels_basic_and_header(tmp_path):
     assert load_labels(bare) == {"s1": 1, "s2": 2}
 
 
+def test_load_labels_drops_a_leading_byte_order_mark(tmp_path):
+    # Without a header, a kept U+FEFF would stick to the first sample id.
+    path = tmp_path / "lab.csv"
+    path.write_bytes("\ufeffs1,1\ns2,2\n".encode())
+    assert load_labels(str(path)) == {"s1": 1, "s2": 2}
+
+
 def test_load_labels_rejects_bad_rows(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         load_labels(write(tmp_path, "a.csv", "s1,1\ns2,3\n"))
@@ -143,6 +150,18 @@ def test_undecodable_byte_message_has_no_chunk_relative_position(tmp_path, loade
     assert str(info.value) == (
         f"{path}: 'utf-8' codec can't decode byte 0xff: invalid start byte"
     )
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_load_expression_with_byte_order_mark_loads_as_without(tmp_path, quote):
+    # A quoted sample id sends the file to the csv row reader; a BOM only
+    # touches the header's sample-id field, which names nothing.
+    text = EXPR_WITH_GROUP.replace("s1", f"{quote}s1{quote}")
+    plain, plain_genes = load_expression(write(tmp_path, "a.csv", text))
+    marked = tmp_path / "b.csv"
+    marked.write_bytes(("\ufeff" + text).encode())
+    sample, genes = load_expression(str(marked))
+    assert np.array_equal(sample.X, plain.X) and genes == plain_genes
 
 
 def test_load_expression_row_error_precedes_later_csv_error(tmp_path):

@@ -358,7 +358,7 @@ def test_bai_saranadasa_matches_oracle():
 
 
 def test_bai_saranadasa_wide_sample_matches_dense_reference():
-    # p > n: the pooled Gram is formed on its n × n side. The reference
+    # p > n: the Gram norms are formed on the n × n side. The reference
     # centers the shifted rows itself and squares the p × p covariance.
     rng = np.random.default_rng(58)
     n1 = n2 = 6
@@ -368,7 +368,6 @@ def test_bai_saranadasa_wide_sample_matches_dense_reference():
         X2 = rng.normal(size=(n2, p)) + 8.0
         X1[:, :10] += 1.0
         sample = GroupedSample.from_groups(X1, X2)
-        assert sample.gram.shape == (n1 + n2, n1 + n2)
         C = np.vstack([X1 - X1.mean(axis=0), X2 - X2.mean(axis=0)])
         n = n1 + n2 - 2
         tau = 1 / n1 + 1 / n2
@@ -437,24 +436,44 @@ def test_pooled_gram_is_the_sum_of_the_group_grams(n1, n2, p):
         assert np.all(np.abs(sample.gram - pooled) <= 16 * eps * np.outer(norms, norms))
 
 
-def test_chen_qin_reads_the_cached_group_grams():
-    # Stand-ins in the sample's cache: Chen–Qin's norms and the pooled Gram
-    # come from them, so neither forms a product of its own.
+def test_baselines_read_the_cached_gram_norms():
+    # A stand-in planted in the sample's cache is what both baselines read:
+    # each statistic follows from it by the formulas of the module docstring.
     rng = np.random.default_rng(61)
-    sample = random_sample(rng, 9, 8, 4)
-    A = rng.normal(size=(4, 4))
-    B = rng.normal(size=(4, 4))
-    sample.__dict__["group_grams"] = (A, B)
-    state = mean_tests._chen_qin_grams(sample, None)
-    assert state.frobenius == (float(np.sum(A * A)), float(np.sum(B * B)))
-    assert state.cross == float(np.sum(A * B))
-    assert np.array_equal(sample.gram, A + B)
+    n1, n2 = 9, 8
+    sample = random_sample(rng, n1, n2, 4, shift=0.3)
+    diag1, diag2 = rng.uniform(1.0, 2.0, n1), rng.uniform(1.0, 2.0, n2)
+    frob1, frob2, cross = 300.0, 500.0, 7.0
+    sample.__dict__["gram_norms"] = ((diag1, diag2), (frob1, frob2), cross)
+    d = sample.mean_diff
+    n, tau = n1 + n2 - 2, 1 / n1 + 1 / n2
+    tr_s = (diag1.sum() + diag2.sum()) / n
+    tr_s2 = (frob1 + frob2 + 2 * cross) / n**2
+    b2 = n**2 / ((n + 2) * (n - 1)) * (tr_s2 - tr_s**2 / n)
+    want = (d @ d - tau * tr_s) / math.sqrt(2 * tau**2 * (n + 1) / n * b2)
+    assert_allclose(baseline(sample, "bai_saranadasa").statistic, want, rtol=1e-12)
+    C = sample.centered
+    u1, u2 = C[:n1] @ sample.means[0], C[n1:] @ sample.means[1]
+    t = d @ d - diag1.sum() / (n1 * (n1 - 1)) - diag2.sum() / (n2 * (n2 - 1))
+    var = (
+        2 / (n1 * (n1 - 1)) * mean_tests._within_trace(frob1, diag1, u1)
+        + 2 / (n2 * (n2 - 1)) * mean_tests._within_trace(frob2, diag2, u2)
+        + 4 / (n1 * n2) * cross / ((n1 - 1) * (n2 - 1))
+    )
+    want = t / math.sqrt(var)
+    assert_allclose(baseline(sample, "chen_qin").statistic, want, rtol=1e-12)
+    # p > n: neither baseline forms a p × p product.
+    wide = random_sample(rng, 6, 6, 50, shift=8.0)
+    baseline(wide, "bai_saranadasa")
+    baseline(wide, "chen_qin")
+    assert "group_grams" not in wide.__dict__
+    assert "gram" not in wide.__dict__
 
 
 def test_baselines_do_not_depend_on_which_method_ran_first():
-    # Hotelling and Bai–Saranadasa read the pooled Gram, Chen–Qin the group
-    # Grams it is summed from: each gives the same float whichever of them
-    # formed the sample's Grams.
+    # Hotelling reads the pooled Gram, Bai–Saranadasa and Chen–Qin the norms
+    # of the group Grams it is summed from: each gives the same float
+    # whichever of them formed the sample's Grams.
     rng = np.random.default_rng(62)
     X1, X2 = rng.normal(size=(100, 60)) + 8.0, rng.normal(size=(100, 60)) + 8.0
     runs = {

@@ -773,6 +773,13 @@ def test_run_delta_grid_rejects_an_empty_grid():
         run_delta_grid(SimConfig(n1=10, n2=10, p=5), [], ("t2dag_chi2",))
 
 
+def test_run_delta_grid_rejects_a_method_named_twice():
+    # A method named twice would give its table two rows for one test.
+    cfg = SimConfig(n1=10, n2=10, p=5, replicates=3)
+    with pytest.raises(ValueError, match="method 't2dag_z' is named twice"):
+        run_delta_grid(cfg, [0.0], ("t2dag_z", "t2dag_z"))
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_forced_non_finite_draw_fails_in_every_table(threads):
     # kappa = 1e-320 passes the config check and forces infinite
