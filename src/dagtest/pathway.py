@@ -52,9 +52,10 @@ class PathwayDag:
     The graph is its edges: the topological order and the parent sets are
     derived from ``p`` and ``edges`` on construction and cannot be passed in.
     The fit plan (``topo_index``, ``in_degrees``, ``parent_groups``,
-    ``support``) and the counts built on it are derived from them on first
-    use, once per dag; they are not fields, so equality, hashing and the
-    repr ignore them. Their arrays are read-only, so threads can share a dag.
+    ``group_index``, ``support``) and the counts built on it are derived
+    from them on first use, once per dag; they are not fields, so equality,
+    hashing and the repr ignore them. Their arrays are read-only, so
+    threads can share a dag.
 
     Attributes:
         p: number of nodes (genes).
@@ -146,7 +147,7 @@ class PathwayDag:
         k parents, and row i of ``columns`` (m, k+1) is the parent set of
         ``positions[i]`` followed by ``positions[i]`` itself, the gather
         index of that node's augmented fit block. Read-only; ``fit_sem`` fits
-        one group per call."""
+        each group as one stack."""
         parent_sets = self.parent_sets
         groups: dict[int, list[int]] = {}
         for pos, parents in enumerate(parent_sets):
@@ -160,6 +161,38 @@ class PathwayDag:
             )
             for k, positions in groups.items()
         }
+
+    @cached_property
+    def group_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(gather, positions, source, target), read-only, for fitting every
+        group of ``parent_groups`` in one pass.
+
+        ``gather`` holds the original column of each entry of every group's
+        ``columns``, group after group, so one indexing step reads every fit
+        block. The rest covers the m nodes with two or more parents, group
+        after group: ``positions`` are their positions; ``source`` is the
+        flat index of each of their parent coefficients in a (d, m) array,
+        d = ``max_in_degree``, whose column i holds the coefficients of
+        ``positions[i]`` in its last rows; and ``target`` is that
+        coefficient's flat index in a p × p matrix (parent row, child
+        column)."""
+        p, d = self.p, self.max_in_degree
+        none = np.empty(0, np.intp)
+        groups = self.parent_groups.items()
+        blocks = np.concatenate([none, *(c.ravel() for _, (_, c) in groups)])
+        gather = self.topo_index[blocks]
+        multi = [(k, nodes, columns) for k, (nodes, columns) in groups if k >= 2]
+        positions = np.concatenate([none, *(nodes for _, nodes, _ in multi)])
+        parents = np.concatenate([none, *(c[:, :k].ravel() for k, _, c in multi)])
+        counts = self.in_degrees[positions]
+        m = len(positions)
+        # Coefficient e, of the node in column i, lies in row d + e − ends_i,
+        # where ends_i counts the coefficients up to and including node i's.
+        ends = np.cumsum(counts)
+        source = np.repeat((d - ends) * m + np.arange(m), counts)
+        source += np.arange(len(parents)) * m
+        target = parents * p + np.repeat(positions, counts)
+        return tuple(map(_read_only, (gather, positions, source, target)))
 
     @property
     def n_edges(self) -> int:

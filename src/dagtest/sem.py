@@ -7,16 +7,19 @@ intercept design W = [1, g]; the projection onto W is applied implicitly by
 centering each group at its own mean, which is algebraically identical and
 costs O(np) instead of forming an n×n projector.
 
-One kernel, ``_fit_columns``, does every node fit. ``fit_sem`` calls it once
-per parent count, on the stack of all nodes with that count, as the dag's
-``parent_groups`` (derived once per dag) lists them: no parents leaves the
-centered column, one parent is a vectorized simple regression, and two or
-more go through one stacked Householder QR of the blocks [parents | node].
-When a bound from the R factors settles the rank rule for every block of
-the stack, the stack is solved from them; otherwise the whole stack is
-solved by one stacked SVD. ``fit_node`` is the same kernel on a single
-node. Errors are reported as a node-by-node sweep in topological order
-would meet them first.
+One kernel does every node fit, on stacks of nodes that share a parent
+count, as the dag's ``parent_groups`` (derived once per dag) lists them: no
+parents leaves the centered column, one parent is a vectorized simple
+regression, and two or more go through two steps. ``_factor`` runs one
+stacked Householder QR of the blocks [parents | node] and one stacked
+inverse of R per stack; ``_finish`` then runs once over all of a dag's
+stacks, on zero-padded arrays: it certifies the rank rule from a bound on
+the factors, forms q̂ = R⁻¹z, reads the residual sum of squares from the
+factor, and sends any stack holding a block the bound cannot certify whole
+through one stacked SVD. ``fit_sem`` gathers every block in one indexing step
+and scatters q̂ and r̂ once each; ``fit_node`` runs the same kernel on a
+single node, through ``_fit_columns``. Errors are reported as a node-by-node
+sweep in topological order would meet them first.
 
 ``fit_sem`` and ``SemEstimate`` index nodes by *topological position*;
 ``fit_sem`` translates from the original column order at entry. ``fit_node``
@@ -271,13 +274,13 @@ def _fit_columns(B, nodes):
     (``GroupedSample.centered``): k parent columns, then the target.
 
     Shapes broadcast over leading axes: ``fit_node`` passes one fit with no
-    leading axis, ``fit_sem`` a stack of fits that share one parent count,
-    and each step is one numpy call for the whole stack. With no parents the
+    leading axis, ``fit_sem`` a stack of fits with no or one parent, and
+    each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
-    q̂ = a·y / a·a; two or more parents, and a stack of one-parent fits with
-    a zero or subnormal a·a, go through ``_solve_qr``. It solves the whole
-    stack from a QR factor when a bound settles the rank rule for every
-    block, and the whole stack by SVD otherwise.
+    q̂ = a·y / a·a, its residual formed. Two or more parents, and a stack of
+    one-parent fits with a zero or subnormal a·a, are
+    ``_finish([_factor(B, nodes)])``: the QR route, which ``fit_sem`` runs
+    on all of a dag's stacks of two or more parents at once.
 
     Args:
         B: (…, n, k+1) augmented blocks, the target column last.
@@ -286,9 +289,9 @@ def _fit_columns(B, nodes):
     Returns:
         (q̂, rss, failures): (…, k) coefficients; (…) residual sums of
         squares; and {flat index: RankDeficientDesign} for the fits that
-        failed, whose entries are NaN. Residuals are formed explicitly, so a
-        group-constant column gives an exact r̂ = 0 and an exact fit the
-        floating-point floor.
+        failed, whose entries are NaN. A group-constant target gives an
+        exact rss = 0 on every route, and an exact fit the floating-point
+        floor.
     """
     k = B.shape[-1] - 1
     y = B[..., k]
@@ -304,9 +307,9 @@ def _fit_columns(B, nodes):
             q = (_vecdot(a, y) / aa)[..., None]
             r = y - a * q
             return q, _vecdot(r, r), {}
-    q, failures = _solve_qr(B, nodes)
-    r = y - (B[..., :k] @ q[..., None])[..., 0]
-    return q, _vecdot(r, r), failures
+    q, rss, failures = _finish([_factor(B, nodes)])
+    shape = B.shape[:-2]
+    return q.T.reshape(*shape, k), rss.reshape(shape), failures
 
 
 # The factor c by which a block's singular-value bounds must clear the rank
@@ -324,46 +327,109 @@ def _lower(k: int) -> np.ndarray:
     return mask
 
 
-def _solve_qr(B, nodes):
-    """Least-squares coefficients of (…, n, k+1) blocks [A | y], by one
-    stacked Householder QR.
+def _factor(B, nodes):
+    """The per-stack step of the node-fit kernel: one stacked Householder QR
+    of the (…, n, k+1) blocks [A | y] and one stacked inverse of R.
 
-    The QR of [A | y] gives R (k × k, upper triangular) and z = Qᵀy, so
-    q̂ = R⁻¹z. The rank rule is ``_solve_svd``'s: a block is rank deficient
-    when s_min ≤ max(eps · max(n, k) · s_max, tiny). The QR settles it from
+    The QR of [A | y] is T, (k+1) × (k+1) upper triangular: R = T[:k, :k],
+    z = Qᵀy = T[:k, k], and |T[k, k]| = ‖y − Aq̂‖ with q̂ = R⁻¹z, the
+    residual norm that LAPACK's ``dgels`` reports the same way. A zero
+    target column stays zero under every reflection, so its T[k, k] is an
+    exact 0. Stacked ``np.linalg.qr`` needs numpy >= 1.22.
+
+    Returns (nodes, B, T, R⁻¹), the last two with the block axis last:
+    (k+1, k+1, m) and (k, k, m) for the m blocks. R⁻¹ is NaN where ``inv``
+    fails, which it does only on an exact zero on R's diagonal, since R is
+    triangular.
+    """
+    k = B.shape[-1] - 1
+    # mode="raw" returns Tᵀ in the lower triangle, Householder vectors above
+    # it; masking them costs less than the triu of mode="r".
+    h = np.linalg.qr(B, mode="raw")[0]
+    T = (h[..., : k + 1, : k + 1] * _lower(k + 1)).reshape(-1, k + 1, k + 1).T
+    try:
+        Rinv = np.linalg.inv(T[:k, :k].transpose(2, 0, 1)).transpose(1, 2, 0)
+    except np.linalg.LinAlgError:
+        Rinv = np.full(T[:k, :k].shape, np.nan)
+    return nodes, B, T, Rinv
+
+
+def _finish(stacks):
+    """The rest of the node-fit kernel, once over the ``_factor`` results of
+    one or more stacks. Several stacks are zero-padded to the largest parent
+    count d, each block's T and R⁻¹ in the lower right corner, where the
+    zeros change no largest entry and add nothing to R⁻¹z.
+
+    The rank rule is ``_solve_svd``'s: a block is rank deficient when
+    s_min ≤ max(eps · max(n, k) · s_max, tiny). The factors settle it from
     bounds. With M and W the largest entries of R and R⁻¹,
     s_max ≤ ‖R‖_F ≤ k·M and s_min ≥ 1/‖R⁻¹‖_F ≥ 1/(k·W), so a block with
     c · k·W · max(eps · max(n, k) · k·M, tiny) < 1, c = ``_CERTIFY_MARGIN``,
     passes the rule with a factor c to spare. The largest entries stand in
     for the Frobenius norms because they square nothing: squares underflow
-    at small scales, which would understate s_max. When the bound certifies
-    every block, the stack is solved from R; otherwise (an exact zero on a
-    diagonal of R, a bound above the limit, an R⁻¹ that overflows) the whole
-    stack goes through ``_solve_svd``, so every rank decision and message
-    is the SVD rule's. Stacked ``np.linalg.qr`` needs numpy >= 1.22.
+    at small scales, which would understate s_max. A stack whose blocks the
+    bound all certify is solved from its factor: q̂ = R⁻¹z and
+    rss = T[k, k]², with no residual formed. A stack holding any block the
+    bound cannot certify (an exact zero on a diagonal of R, a bound above
+    the limit, an R⁻¹ that overflows) goes whole through ``_solve_svd``, so
+    every rank decision and message is the SVD rule's; its full-rank blocks
+    keep T[k, k]² and its failed ones read NaN.
 
-    Returns (q̂, failures) as ``_solve_svd`` does.
+    Returns (q̂, rss, failures): (d, N) coefficients, block i's k in the
+    last k rows of column i, with the N blocks of the stacks in order;
+    (N,) residual sums of squares; and {block: RankDeficientDesign}.
     """
-    n, k = B.shape[-2], B.shape[-1] - 1
-    # mode="raw" returns the factor transposed: Rᵀ in the lower triangle of
-    # h's leading k × k block, Householder vectors above it, and z in row k.
-    # Masking the vectors costs less than the triu of mode="r".
-    h = np.linalg.qr(B, mode="raw")[0]
-    R, z = np.swapaxes(h[..., :k, :k] * _lower(k), -1, -2), h[..., k, :k]
-    try:
-        Rinv = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        # R is upper triangular, so inv eliminates nothing and fails only on
-        # an exact zero on its diagonal, which no bound certifies.
-        return _solve_svd(B, nodes)
+    ks = [T.shape[0] - 1 for _, _, T, _ in stacks]
+    sizes = [T.shape[-1] for _, _, T, _ in stacks]
+    d, N, n = max(ks), sum(sizes), stacks[0][1].shape[-2]
+    # eps · max(n, k) · k and c · k, formed in the rule's own order.
+    rule = [(_EPS * max(n, k) * k, _CERTIFY_MARGIN * k) for k in ks]
+    if len(stacks) == 1:
+        _, _, T, Rinv = stacks[0]
+        ((a, ck),) = rule
+    else:
+        T, Rinv = np.zeros((d + 1, d + 1, N)), np.zeros((d, d, N))
+        rows = 0
+        for (_, _, t, rinv), k, m in zip(stacks, ks, sizes):
+            T[d - k :, d - k :, rows : rows + m] = t
+            Rinv[d - k :, d - k :, rows : rows + m] = rinv
+            rows += m
+        a, ck = np.repeat(rule, sizes, axis=0).T
     # The test reads W < limit, so it forms no overflow: a W of inf or NaN
     # fails it.
-    M = np.abs(R).max(axis=(-2, -1))
-    W = np.abs(Rinv).max(axis=(-2, -1))
-    scale = np.maximum(_EPS * max(n, k) * k * M, _TINY)
-    if (W < 1.0 / (_CERTIFY_MARGIN * k * scale)).all():
-        return _vecdot(Rinv, z[..., None, :]), {}
-    return _solve_svd(B, nodes)
+    # abs of the whole T, which is contiguous when padded, costs less than
+    # abs of its R view.
+    M = np.abs(T)[:d, :d].max(axis=(0, 1))
+    W = np.abs(Rinv).max(axis=(0, 1))
+    uncertified = ~(W < 1.0 / (ck * np.maximum(a * M, _TINY)))
+    solve = _any(uncertified)
+    if solve:
+        # Their R⁻¹ may hold inf or NaN; the SVD replaces their q̂.
+        Rinv = np.where(uncertified, 0.0, Rinv)
+    q = np.einsum("ijn,jn->in", Rinv, T[:d, d])
+    rss = np.square(T[d, d])
+    # Once the squared residuals are subnormal, each rounds on its own, and
+    # T[k, k]² no longer agrees with their sum to rounding; those blocks
+    # form their residual and sum its squares.
+    small = rss < _TINY
+    failures = {}
+    if solve or _any(small):
+        rows = 0
+        for (nodes, B, _, _), k, m in zip(stacks, ks, sizes):
+            block = slice(rows, rows + m)
+            if _any(uncertified[block]):
+                q_svd, failed = _solve_svd(B, nodes)
+                q[d - k :, block] = q_svd.reshape(m, k).T
+                failures.update((rows + i, exc) for i, exc in failed.items())
+            i = np.flatnonzero(small[block])
+            if i.size:
+                A = B.reshape(m, n, k + 1)[i]
+                fitted = A[..., :k] @ q[d - k :, rows + i].T[..., None]
+                r = A[..., k] - fitted[..., 0]
+                rss[rows + i] = _vecdot(r, r)
+            rows += m
+        rss[list(failures)] = np.nan
+    return q, rss, failures
 
 
 def _solve_svd(B, nodes):
@@ -426,8 +492,11 @@ def fit_node(sample: GroupedSample, j: int, parents: Sequence[int]) -> NodeFit:
     factor settles that rule unless the block is within a safety factor of
     2¹⁰ of it; then a singular value decomposition solves the block, and
     its decision and message are the ones reported.
-    Residuals are always formed explicitly, and θ̂ is the group means through
-    the fit: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
+    With no or one parent the residual is formed; through the QR, the
+    residual sum of squares is read from the factor of [parents | j], which
+    is exactly 0 for a group-constant column, and the residual is formed
+    only where that square is subnormal. θ̂ is the group means through the
+    fit: θ̂₁ = x̄⁽²⁾_j − x̄⁽²⁾_S·q̂, θ̂₂ = x̄⁽¹⁾_j − x̄⁽¹⁾_S·q̂ − θ̂₁.
 
     Args:
         sample: the grouped expression matrix (columns in any fixed order).
@@ -537,11 +606,12 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     """Fit every node of the dag and assemble the SEM estimate.
 
     Columns of ``sample.X`` are in original order; they are taken in the
-    dag's topological order internally. The nodes are fit by parent count,
-    one kernel call per count, yet a failure is reported as a node-by-node
-    sweep in topological order would meet it first: the offending node's
-    label is attached, and no failure after a node with too few samples is
-    reported.
+    dag's topological order internally. The nodes are fit by parent count:
+    the counts 0 and 1 one kernel call each, and the counts of two or more
+    one QR factor step each and one finish step together (see ``_finish``).
+    Yet a failure is reported as a node-by-node sweep in topological order
+    would meet it first: the offending node's label is attached, and no
+    failure after a node with too few samples is reported.
 
     Raises:
         ValueOutOfRange: some value of the sample is out of range; checked
@@ -554,9 +624,12 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
     sample._check_range(dag)
     p, n = dag.p, sample.n
-    # Row i holds the centered column of the node in position i.
-    topo = dag.topo_index
-    rows = sample.centered.T[topo]
+    gather, multi, source, target = dag.group_index
+    # One gather for every fit block: group k's blocks are k+1 rows each.
+    # Indexing reads the transposed columns in place, where ``take`` would
+    # first copy them to C order: a p × n temporary per fit, with which
+    # simulate processes page-faulted several times as often.
+    rows = sample.centered.T[gather]
     sizes = dag.in_degrees
     # The one sample-size rule: a node needs dof ≥ 1, and r̂ = rss / dof.
     dof = n - sizes - 4
@@ -565,15 +638,32 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     Q = np.zeros((p, p))
     R = np.zeros(p)
     failures: dict[int, RankDeficientDesign] = {}
+    stacks = []
+    end = 0
     for k, (nodes, columns) in dag.parent_groups.items():
+        start, end = end, end + columns.size
         if dof[nodes[0]] < 1:
             # Every node of this group shares its parent count, so all are
             # short of samples.
             continue
-        q, rss, failed = _fit_columns(rows[columns].transpose(0, 2, 1), nodes)
+        B = rows[start:end].reshape(len(nodes), k + 1, n).transpose(0, 2, 1)
+        if k >= 2:
+            stacks.append(_factor(B, nodes))
+            continue
+        q, rss, failed = _fit_columns(B, nodes)
         Q[columns[:, :k], nodes[:, None]] = q
         R[nodes] = rss / dof[nodes]
         failures.update((int(nodes[i]), exc) for i, exc in failed.items())
+    if stacks:
+        q, rss, failed = _finish(stacks)
+        if limit == p:
+            Q.put(target, q.take(source))
+        else:
+            # A node short of samples fails the fit, so Q̂ is not returned;
+            # the fitted groups still report their failures and exact fits.
+            multi = np.concatenate([nodes for nodes, *_ in stacks])
+        R[multi] = rss / dof[multi]
+        failures.update((int(multi[i]), exc) for i, exc in failed.items())
     # A node-by-node sweep would stop at the first failure; failed fits hold
     # NaN, so they are not exact fits.
     exact = np.flatnonzero(R[:limit] == 0.0)[:1].tolist()
@@ -591,7 +681,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise type(exc)(f"node {label}: {exc}") from exc
     # θ̂ is the group means through (I − Q̂), as t2dag forms its statistic
     # from the mean difference.
-    M = sample.means[:, topo]
+    M = sample.means.take(dag.topo_index, axis=1)
     m1, m2 = M - M @ Q
     theta = np.column_stack((m2, m1 - m2))
     return SemEstimate(Q_hat=Q, R_hat=R, dag=dag, theta_hat=theta, dof=dof)

@@ -151,6 +151,41 @@ def test_fit_node_constant_column_gives_exact_zero():
     assert nf.theta_hat == (2.0, -1.0)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_multi_parent_group_constant_child_gives_exact_zero(k):
+    # With two or more parents r̂ is T[k, k]² of the QR of [parents | child].
+    # A group-constant child centers to exactly zero and stays zero under
+    # every Householder reflection, so r̂ is 0.0 exactly, as the explicit
+    # residual gives it, and fit_sem refuses the node by its label.
+    rng = np.random.default_rng(40 + k)
+    child = np.r_[np.full(6, 1.5), np.full(6, -2.0)]
+    X = np.column_stack([*rng.normal(size=(k, 12)), child])
+    sample = GroupedSample.from_groups(X[:6], X[6:])
+    nf = fit_node(sample, k, parents=tuple(range(k)))
+    assert nf.r_hat == 0.0
+    assert np.all(nf.q_hat == 0.0)
+    labels = [f"G{i}" for i in range(k)] + ["FLAT"]
+    dag = PathwayDag.from_edges([(i, k) for i in range(k)], p=k + 1, labels=labels)
+    message = "^node FLAT: exact fit, residual variance estimate is 0$"
+    with pytest.raises(ZeroResidualVariance, match=message):
+        fit_sem(sample, dag)
+
+
+def test_fit_node_exact_fit_recovery_with_two_parents():
+    # A noiseless child of two parents: r̂ = T[k, k]² is the roundoff of the
+    # QR squared, not a statistical zero, so fit_sem accepts the node.
+    rng = np.random.default_rng(8)
+    a0, a1 = rng.normal(size=(2, 10))
+    X = np.column_stack([a0, a1, a0 - 2.0 * a1])
+    sample = GroupedSample.from_groups(X[:5], X[5:])
+    nf = fit_node(sample, 2, parents=(0, 1))
+    assert nf.r_hat < 1e-25
+    assert_allclose(nf.q_hat, [1.0, -2.0], atol=1e-10)
+    dag = PathwayDag.from_edges([(0, 2), (1, 2)], p=3)
+    est = fit_sem(sample, dag)
+    assert est.R_hat[dag.topo_order.index(2)] < 1e-25
+
+
 def test_fit_node_rank_deficient():
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=12)
@@ -682,6 +717,59 @@ def test_fit_sem_agrees_with_a_node_by_node_fit_node_sweep():
         assert_allclose(est.Q_hat, Q, rtol=tol, atol=tol * np.abs(Q).max())
         assert_allclose(est.R_hat, R, rtol=tol)
         assert_allclose(est.theta_hat, theta, rtol=tol, atol=tol * np.abs(theta).max())
+
+
+@pytest.mark.parametrize("cond", [1e13, 1e17])
+def test_fit_sem_runs_the_svd_on_the_stack_of_the_uncertified_block_only(
+    monkeypatch, cond
+):
+    # fit_sem factors every stack of two or more parents, then finishes them
+    # together; a stack holding a block the bound cannot certify still goes
+    # whole through the SVD, once, and no other stack does. At condition
+    # 1e13 the SVD rule accepts the block, and the estimate agrees with a
+    # node-by-node fit_node sweep; at 1e17 the rule refuses it, and fit_sem
+    # raises the sweep's first failure.
+    rng = np.random.default_rng(32)
+    two, _, _ = _conditioned_blocks(rng, 12, 12, 2, [1.0, cond, 10.0], 1.0)
+    three, _, _ = _conditioned_blocks(rng, 12, 12, 3, [1.0, 10.0], 1.0)
+    X = np.concatenate([two.X, three.X], axis=1)
+    edges = [(3 * i + c, 3 * i + 2) for i in range(3) for c in range(2)]
+    edges += [(9 + 4 * i + c, 9 + 4 * i + 3) for i in range(2) for c in range(3)]
+    dag = PathwayDag.from_edges(edges, p=X.shape[1])
+    # Every edge points to a larger column, so positions are columns and the
+    # sweep below reads the very columns fit_sem reads.
+    assert dag.topo_order == tuple(range(dag.p))
+    assert sorted(dag.parent_groups) == [0, 2, 3]
+    sample = GroupedSample.from_groups(X[:12], X[12:])
+    calls = []
+    real = sem._solve_svd
+
+    def spy(B, nodes):
+        calls.append(np.broadcast_to(nodes, B.shape[:-2]).ravel().tolist())
+        return real(B, nodes)
+
+    monkeypatch.setattr(sem, "_solve_svd", spy)
+    failure = _sequential_failure(sample, dag)
+    calls.clear()
+    if cond > 1e15:
+        assert failure is not None and failure[0] is RankDeficientDesign
+        with pytest.raises(RankDeficientDesign) as err:
+            fit_sem(sample, dag)
+        assert str(err.value) == failure[1]
+    else:
+        assert failure is None
+        est = fit_sem(sample, dag)
+    assert calls == [dag.parent_groups[2][0].tolist()]
+    if cond > 1e15:
+        return
+    p = dag.p
+    Q, R = np.zeros((p, p)), np.zeros(p)
+    for pos, parents in enumerate(dag.parent_sets):
+        nf = fit_node(sample, pos, parents)
+        Q[list(parents), pos], R[pos] = nf.q_hat, nf.r_hat
+    tol = 1e-8
+    assert_allclose(est.Q_hat, Q, rtol=tol, atol=tol * np.abs(Q).max())
+    assert_allclose(est.R_hat, R, rtol=tol)
 
 
 def test_fitting_leaves_dag_equality_hash_and_repr_alone():
