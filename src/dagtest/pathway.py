@@ -163,36 +163,24 @@ class PathwayDag:
         }
 
     @cached_property
-    def group_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(gather, positions, source, target), read-only, for fitting every
-        group of ``parent_groups`` in one pass.
+    def group_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gather, positions, target), read-only, for fitting every group of
+        ``parent_groups`` in one pass.
 
         ``gather`` holds the original column of each entry of every group's
         ``columns``, group after group, so one indexing step reads every fit
-        block. The rest covers the m nodes with two or more parents, group
-        after group: ``positions`` are their positions; ``source`` is the
-        flat index of each of their parent coefficients in a (d, m) array,
-        d = ``max_in_degree``, whose column i holds the coefficients of
-        ``positions[i]`` in its last rows; and ``target`` is that
-        coefficient's flat index in a p × p matrix (parent row, child
-        column)."""
-        p, d = self.p, self.max_in_degree
+        block. ``positions`` are the positions of the nodes with two or more
+        parents, group after group, and ``target`` is the flat index in a
+        p × p matrix (parent row, child column) of each of their parent
+        coefficients, node after node, each node's in parent order."""
         none = np.empty(0, np.intp)
         groups = self.parent_groups.items()
         blocks = np.concatenate([none, *(c.ravel() for _, (_, c) in groups)])
-        gather = self.topo_index[blocks]
         multi = [(k, nodes, columns) for k, (nodes, columns) in groups if k >= 2]
         positions = np.concatenate([none, *(nodes for _, nodes, _ in multi)])
         parents = np.concatenate([none, *(c[:, :k].ravel() for k, _, c in multi)])
-        counts = self.in_degrees[positions]
-        m = len(positions)
-        # Coefficient e, of the node in column i, lies in row d + e − ends_i,
-        # where ends_i counts the coefficients up to and including node i's.
-        ends = np.cumsum(counts)
-        source = np.repeat((d - ends) * m + np.arange(m), counts)
-        source += np.arange(len(parents)) * m
-        target = parents * p + np.repeat(positions, counts)
-        return tuple(map(_read_only, (gather, positions, source, target)))
+        target = parents * self.p + np.repeat(positions, self.in_degrees[positions])
+        return tuple(map(_read_only, (self.topo_index[blocks], positions, target)))
 
     @property
     def n_edges(self) -> int:

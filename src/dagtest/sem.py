@@ -309,7 +309,7 @@ def _fit_columns(B, nodes):
             return q, _vecdot(r, r), {}
     q, rss, failures = _finish([_factor(B, nodes)])
     shape = B.shape[:-2]
-    return q.T.reshape(*shape, k), rss.reshape(shape), failures
+    return q.reshape(*shape, k), rss.reshape(shape), failures
 
 
 # The factor c by which a block's singular-value bounds must clear the rank
@@ -375,18 +375,20 @@ def _finish(stacks):
     every rank decision and message is the SVD rule's; its full-rank blocks
     keep T[k, k]² and its failed ones read NaN.
 
-    Returns (q̂, rss, failures): (d, N) coefficients, block i's k in the
-    last k rows of column i, with the N blocks of the stacks in order;
+    Returns (q̂, rss, failures) for the N blocks of the stacks in order:
+    their coefficients, block after block, each block's in parent order;
     (N,) residual sums of squares; and {block: RankDeficientDesign}.
     """
     ks = [T.shape[0] - 1 for _, _, T, _ in stacks]
     sizes = [T.shape[-1] for _, _, T, _ in stacks]
     d, N, n = max(ks), sum(sizes), stacks[0][1].shape[-2]
-    # eps · max(n, k) · k and c · k, formed in the rule's own order.
-    rule = [(_EPS * max(n, k) * k, _CERTIFY_MARGIN * k) for k in ks]
+    # eps · max(n, k) · k and c · k, formed in the rule's own order, and k.
+    rule = [(_EPS * max(n, k) * k, _CERTIFY_MARGIN * k, k) for k in ks]
     if len(stacks) == 1:
         _, _, T, Rinv = stacks[0]
-        ((a, ck),) = rule
+        ((a, ck, _),) = rule
+        # One stack is not padded: every row of q̂ is a coefficient.
+        kept = ...
     else:
         T, Rinv = np.zeros((d + 1, d + 1, N)), np.zeros((d, d, N))
         rows = 0
@@ -394,7 +396,9 @@ def _finish(stacks):
             T[d - k :, d - k :, rows : rows + m] = t
             Rinv[d - k :, d - k :, rows : rows + m] = rinv
             rows += m
-        a, ck = np.repeat(rule, sizes, axis=0).T
+        a, ck, k = np.repeat(rule, sizes, axis=0).T
+        # Block i's coefficients are the last k of the d in column i of q̂.
+        kept = np.arange(d) >= d - k[:, None]
     # The test reads W < limit, so it forms no overflow: a W of inf or NaN
     # fails it.
     # abs of the whole T, which is contiguous when padded, costs less than
@@ -429,7 +433,7 @@ def _finish(stacks):
                 rss[rows + i] = _vecdot(r, r)
             rows += m
         rss[list(failures)] = np.nan
-    return q, rss, failures
+    return q.T[kept].ravel(), rss, failures
 
 
 def _solve_svd(B, nodes):
@@ -624,7 +628,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
         raise ValueError(f"sample has {sample.p} columns but dag has p={dag.p}")
     sample._check_range(dag)
     p, n = dag.p, sample.n
-    gather, multi, source, target = dag.group_index
+    gather, multi, target = dag.group_index
     # One gather for every fit block: group k's blocks are k+1 rows each.
     # Indexing reads the transposed columns in place, where ``take`` would
     # first copy them to C order: a p × n temporary per fit, with which
@@ -657,7 +661,7 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     if stacks:
         q, rss, failed = _finish(stacks)
         if limit == p:
-            Q.put(target, q.take(source))
+            Q.put(target, q)
         else:
             # A node short of samples fails the fit, so Q̂ is not returned;
             # the fitted groups still report their failures and exact fits.

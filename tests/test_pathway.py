@@ -289,9 +289,9 @@ def test_fit_plan_matches_parent_sets_and_is_read_only():
         assert dag.max_in_degree == max(sizes, default=0)
         assert type(dag.n_children) is int and type(dag.max_in_degree) is int
         # One gather for every group's blocks; the nodes of two or more
-        # parents, their coefficients right-aligned in the columns of a
-        # (d, m) array, and where each lands in the p × p coefficient matrix.
-        gather, multi, source, target = dag.group_index
+        # parents, and where each of their coefficients lands in the p × p
+        # coefficient matrix.
+        gather, multi, target = dag.group_index
         groups = dag.parent_groups.items()
         assert gather.tolist() == [
             dag.topo_order[i] for _, (_, c) in groups for i in c.ravel().tolist()
@@ -299,15 +299,11 @@ def test_fit_plan_matches_parent_sets_and_is_read_only():
         assert multi.tolist() == [
             i for k, (positions, _) in groups if k >= 2 for i in positions.tolist()
         ]
-        d, m = dag.max_in_degree, len(multi)
-        expected = []
-        for column, pos in enumerate(multi.tolist()):
-            ps = dag.parent_sets[pos]
-            expected += [
-                ((d - len(ps) + j) * m + column, parent * dag.p + pos)
-                for j, parent in enumerate(ps)
-            ]
-        assert list(zip(source.tolist(), target.tolist())) == expected
+        assert target.tolist() == [
+            parent * dag.p + pos
+            for pos in multi.tolist()
+            for parent in dag.parent_sets[pos]
+        ]
         arrays = [dag.topo_index, dag.in_degrees, *dag.support, *dag.group_index]
         arrays += [a for group in dag.parent_groups.values() for a in group]
         for a in arrays:
