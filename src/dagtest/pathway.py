@@ -17,7 +17,8 @@ import heapq
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,11 +52,15 @@ class PathwayDag:
 
     The graph is its edges: the topological order and the parent sets are
     derived from ``p`` and ``edges`` on construction and cannot be passed in.
-    The fit plan (``topo_index``, ``in_degrees``, ``parent_groups``,
-    ``group_index``, ``support``) and the counts built on it are derived
-    from them on first use, once per dag; they are not fields, so equality,
-    hashing and the repr ignore them. Their arrays are read-only, so
-    threads can share a dag.
+    The fit plan and the counts built on it are derived from them on first
+    use, once per dag: ``topo_index``, ``in_degrees``, ``support``,
+    ``parent_groups`` (the stacks ``fit_sem`` fits, built from the two
+    before), ``group_index`` (one gather of every fit block, one scatter of
+    the coefficients) and ``padded_layout`` (where the finish step holds
+    the blocks of two or more parents, in one zero-padded array whose R⁻¹
+    it forms in one step). They are not fields, so equality, hashing and
+    the repr ignore them. Their arrays are read-only, so threads can share
+    a dag.
 
     Attributes:
         p: number of nodes (genes).
@@ -148,19 +153,24 @@ class PathwayDag:
         ``positions[i]`` followed by ``positions[i]`` itself, the gather
         index of that node's augmented fit block. Read-only; ``fit_sem`` fits
         each group as one stack."""
-        parent_sets = self.parent_sets
-        groups: dict[int, list[int]] = {}
-        for pos, parents in enumerate(parent_sets):
-            groups.setdefault(len(parents), []).append(pos)
-        return {
-            k: (
-                _read_only(np.array(positions, np.intp)),
-                _read_only(
-                    np.array([(*parent_sets[pos], pos) for pos in positions], np.intp)
-                ),
-            )
-            for k, positions in groups.items()
-        }
+        sizes = self.in_degrees
+        parents, children = self.support
+        # The positions, and the parents edge by edge, ordered by parent
+        # count; the sorts are stable, so positions stay ascending and each
+        # node's parents stay in order. Each count's share is one slice.
+        order = np.argsort(sizes, kind="stable")
+        by_count = parents[np.argsort(sizes[children], kind="stable")]
+        counts = np.bincount(sizes).tolist()
+        nodes_before = [0, *accumulate(counts)]
+        edges_before = [0, *accumulate(map(mul, counts, range(len(counts))))]
+        groups = {}
+        for k in dict.fromkeys(sizes.tolist()):
+            m, edge = counts[k], edges_before[k]
+            positions = order[nodes_before[k] : nodes_before[k] + m]
+            block = by_count[edge : edge + m * k].reshape(m, k)
+            columns = np.concatenate((block, positions[:, None]), axis=1)
+            groups[k] = (_read_only(positions), _read_only(columns))
+        return groups
 
     @cached_property
     def group_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,6 +191,15 @@ class PathwayDag:
         parents = np.concatenate([none, *(c[:, :k].ravel() for k, _, c in multi)])
         target = parents * self.p + np.repeat(positions, self.in_degrees[positions])
         return tuple(map(_read_only, (self.topo_index[blocks], positions, target)))
+
+    @cached_property
+    def padded_layout(self) -> tuple[dict, np.ndarray, np.ndarray, tuple]:
+        """``pad_layout`` of the groups of two or more parents, in the order
+        of ``group_index``: where ``fit_sem`` holds each of their fit blocks
+        for the finish step."""
+        return pad_layout(
+            [(k, len(nodes)) for k, (nodes, _) in self.parent_groups.items() if k >= 2]
+        )
 
     @property
     def n_edges(self) -> int:
@@ -204,6 +223,38 @@ class PathwayDag:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def pad_layout(
+    stacks: Sequence[tuple[int, int]],
+) -> tuple[dict, np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """(slots, k, kept, spans) for holding stacks of fit blocks, one stack
+    per parent count, given as (parent count, block count) pairs, in one
+    zero-padded array; the two arrays are read-only.
+
+    With d the largest parent count and N the number of blocks, the array
+    is (d+1, d+1, N): block after block along the last axis, stack after
+    stack in the given order, each block's (k+1) × (k+1) factor in the
+    lower right corner. ``slots[k]`` indexes the stack of k parents in it,
+    ``k`` (N,) is each block's parent count as a float, and ``kept`` (N, d)
+    marks each block's rows of a padded coefficient vector: its last k.
+    ``spans[i]`` is the range of blocks, from the first stack to the last,
+    whose R has a row i: those of d − i or more parents. Blocks outside it
+    hold only padding in that row.
+    """
+    d = max((k for k, _ in stacks), default=0)
+    slots, rows = {}, 0
+    for k, m in stacks:
+        corner = slice(d - k, None)
+        slots[k] = (corner, corner, slice(rows, rows + m))
+        rows += m
+    spans = []
+    for i in range(d):
+        blocks = [block for k, (_, _, block) in slots.items() if k >= d - i]
+        spans.append(slice(blocks[0].start, blocks[-1].stop))
+    k = np.repeat([float(k) for k, _ in stacks], [m for _, m in stacks])
+    kept = np.arange(d) >= d - k[:, None]
+    return slots, _read_only(k), _read_only(kept), tuple(spans)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,21 @@ costs O(np) instead of forming an n×n projector.
 One kernel does every node fit, on stacks of nodes that share a parent
 count, as the dag's ``parent_groups`` (derived once per dag) lists them: no
 parents leaves the centered column, one parent is a vectorized simple
-regression, and two or more go through two steps. ``_factor`` runs one
-stacked Householder QR of the blocks [parents | node] and one stacked
-inverse of R per stack; ``_finish`` then runs once over all of a dag's
-stacks, on zero-padded arrays: it certifies the rank rule from a bound on
-the factors, forms q̂ = R⁻¹z, reads the residual sum of squares from the
-factor, and sends any stack holding a block the bound cannot certify whole
-through one stacked SVD. ``fit_sem`` gathers every block in one indexing step
-and scatters q̂ and r̂ once each; ``fit_node`` runs the same kernel on a
-single node, through ``_fit_columns``. Errors are reported as a node-by-node
-sweep in topological order would meet them first.
+regression, and two or more go through two steps. The stacks of two or
+more parents live in one zero-padded array, each block's factor in the
+lower right corner of its slot, as the dag's ``padded_layout`` (derived
+once per dag, with the rest of the fit plan) places them. ``_factor``
+runs one stacked Householder QR per stack of the blocks [parents | node]
+and writes the factors straight into the stack's slot. ``_finish`` then
+runs once over the whole array: one back-substitution forms R⁻¹ of every
+block, the rank rule is certified from a bound on the factors, q̂ = R⁻¹z,
+the residual sum of squares is read from the factor, and any stack holding
+a block the bound cannot certify goes whole through one stacked SVD.
+``fit_sem`` gathers every block in one indexing step and scatters q̂ and r̂
+once each; ``fit_node`` runs the same two steps on a single node, through
+``_fit_columns``. Errors are reported as a node-by-node sweep in
+topological order would meet them first; the search for the first one
+runs only when a node is short of samples, failed or fit exactly.
 
 ``fit_sem`` and ``SemEstimate`` index nodes by *topological position*;
 ``fit_sem`` translates from the original column order at entry. ``fit_node``
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -43,7 +48,7 @@ from .errors import (
     ValueOutOfRange,
     ZeroResidualVariance,
 )
-from .pathway import PathwayDag
+from .pathway import PathwayDag, pad_layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +283,10 @@ def _fit_columns(B, nodes):
     each step is one numpy call for the whole stack. With no parents the
     residual is the centered column; one parent is the simple regression
     q̂ = a·y / a·a, its residual formed. Two or more parents, and a stack of
-    one-parent fits with a zero or subnormal a·a, are
-    ``_finish([_factor(B, nodes)])``: the QR route, which ``fit_sem`` runs
-    on all of a dag's stacks of two or more parents at once.
+    one-parent fits with a zero or subnormal a·a, take the QR route:
+    ``_factor`` into the layout of this one stack, which has no padding,
+    then ``_finish``, the two steps that ``fit_sem`` runs on all of a dag's
+    stacks of two or more parents at once.
 
     Args:
         B: (…, n, k+1) augmented blocks, the target column last.
@@ -307,8 +313,11 @@ def _fit_columns(B, nodes):
             q = (_vecdot(a, y) / aa)[..., None]
             r = y - a * q
             return q, _vecdot(r, r), {}
-    q, rss, failures = _finish([_factor(B, nodes)])
     shape = B.shape[:-2]
+    layout = _one_stack(k, math.prod(shape))
+    T = np.empty((k + 1, k + 1, layout[1].size))
+    _factor(B, T)
+    q, rss, failures = _finish(T, layout, [(nodes, B, layout[0][k])])
     return q.reshape(*shape, k), rss.reshape(shape), failures
 
 
@@ -327,9 +336,15 @@ def _lower(k: int) -> np.ndarray:
     return mask
 
 
-def _factor(B, nodes):
+@lru_cache(maxsize=64)
+def _one_stack(k: int, m: int) -> tuple:
+    """``pad_layout`` of one stack of m blocks of k parents: unpadded."""
+    return pad_layout([(k, m)])
+
+
+def _factor(B, T):
     """The per-stack step of the node-fit kernel: one stacked Householder QR
-    of the (…, n, k+1) blocks [A | y] and one stacked inverse of R.
+    of the (…, n, k+1) blocks [A | y], whose factors it writes into T.
 
     The QR of [A | y] is T, (k+1) × (k+1) upper triangular: R = T[:k, :k],
     z = Qᵀy = T[:k, k], and |T[k, k]| = ‖y − Aq̂‖ with q̂ = R⁻¹z, the
@@ -337,28 +352,56 @@ def _factor(B, nodes):
     target column stays zero under every reflection, so its T[k, k] is an
     exact 0. Stacked ``np.linalg.qr`` needs numpy >= 1.22.
 
-    Returns (nodes, B, T, R⁻¹), the last two with the block axis last:
-    (k+1, k+1, m) and (k, k, m) for the m blocks. R⁻¹ is NaN where ``inv``
-    fails, which it does only on an exact zero on R's diagonal, since R is
-    triangular.
+    T is (k+1, k+1, m), the block axis last: the stack's slot in the array
+    of a ``pad_layout``, so the finish step reads every stack's factors
+    from one array, with nothing copied.
     """
     k = B.shape[-1] - 1
     # mode="raw" returns Tᵀ in the lower triangle, Householder vectors above
     # it; masking them costs less than the triu of mode="r".
     h = np.linalg.qr(B, mode="raw")[0]
-    T = (h[..., : k + 1, : k + 1] * _lower(k + 1)).reshape(-1, k + 1, k + 1).T
-    try:
-        Rinv = np.linalg.inv(T[:k, :k].transpose(2, 0, 1)).transpose(1, 2, 0)
-    except np.linalg.LinAlgError:
-        Rinv = np.full(T[:k, :k].shape, np.nan)
-    return nodes, B, T, Rinv
+    np.multiply(h[..., : k + 1, : k + 1], _lower(k + 1), out=T.T)
 
 
-def _finish(stacks):
-    """The rest of the node-fit kernel, once over the ``_factor`` results of
-    one or more stacks. Several stacks are zero-padded to the largest parent
-    count d, each block's T and R⁻¹ in the lower right corner, where the
-    zeros change no largest entry and add nothing to R⁻¹z.
+def _inverse_r(T, kept, spans):
+    """R⁻¹ of every block of the padded factors T (d+1, d+1, N), as
+    (d, d, N): one back-substitution over all blocks at once, row by row
+    from the bottom, each row one product over the rows below it, within
+    the row's span of blocks (see ``pad_layout``).
+
+    The padding rows of R are zero and, through ``kept``, so are the
+    reciprocals of their diagonal, so R⁻¹ is zero-padded too. An exact
+    zero on a block's diagonal, where every entry of an empty slot is
+    zero, gives that block's R⁻¹ an inf or NaN, and so does an R⁻¹ that
+    overflows; the bound in ``_finish`` certifies neither.
+    """
+    d, N = T.shape[0] - 1, T.shape[-1]
+    X = np.zeros((d, d, N))
+    # Views of the diagonals of X and of R, through the flat (d+1)² rows of
+    # the contiguous T.
+    diagonal = X.reshape(d * d, N)[:: d + 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(
+            1.0, T.reshape(-1, N)[: d * (d + 2) : d + 2], out=diagonal, where=kept.T
+        )
+        scale = -diagonal
+        for i in range(d - 2, -1, -1):
+            b = spans[i]
+            below = np.einsum(
+                "ln,ljn->jn", T[i, i + 1 : d, b], X[i + 1 :, i + 1 :, b]
+            )
+            np.multiply(below, scale[i, b], out=X[i, i + 1 :, b])
+    return X
+
+
+def _finish(T, layout, stacks):
+    """The rest of the node-fit kernel, once over the padded arrays of one or
+    more stacks (see ``pad_layout``): T holds every block's factor in the
+    lower right corner of its slot, where the zeros change no largest entry
+    and add nothing to R⁻¹z; ``layout`` is its ``pad_layout``. ``stacks``
+    lists (nodes, B, slot) for the stacks whose slots ``_factor`` filled;
+    a slot left empty, all zero, is never certified, and its results are
+    not meant to be read.
 
     The rank rule is ``_solve_svd``'s: a block is rank deficient when
     s_min ≤ max(eps · max(n, k) · s_max, tiny). The factors settle it from
@@ -367,45 +410,31 @@ def _finish(stacks):
     c · k·W · max(eps · max(n, k) · k·M, tiny) < 1, c = ``_CERTIFY_MARGIN``,
     passes the rule with a factor c to spare. The largest entries stand in
     for the Frobenius norms because they square nothing: squares underflow
-    at small scales, which would understate s_max. A stack whose blocks the
-    bound all certify is solved from its factor: q̂ = R⁻¹z and
+    at small scales, which would understate s_max. R⁻¹ comes from one
+    back-substitution over all blocks (``_inverse_r``). A stack whose
+    blocks the bound all certify is solved from its factor: q̂ = R⁻¹z and
     rss = T[k, k]², with no residual formed. A stack holding any block the
     bound cannot certify (an exact zero on a diagonal of R, a bound above
     the limit, an R⁻¹ that overflows) goes whole through ``_solve_svd``, so
     every rank decision and message is the SVD rule's; its full-rank blocks
     keep T[k, k]² and its failed ones read NaN.
 
-    Returns (q̂, rss, failures) for the N blocks of the stacks in order:
-    their coefficients, block after block, each block's in parent order;
-    (N,) residual sums of squares; and {block: RankDeficientDesign}.
+    Returns (q̂, rss, failures) for the N blocks in order: their
+    coefficients, block after block, each block's in parent order; (N,)
+    residual sums of squares; and {block: RankDeficientDesign}.
     """
-    ks = [T.shape[0] - 1 for _, _, T, _ in stacks]
-    sizes = [T.shape[-1] for _, _, T, _ in stacks]
-    d, N, n = max(ks), sum(sizes), stacks[0][1].shape[-2]
-    # eps · max(n, k) · k and c · k, formed in the rule's own order, and k.
-    rule = [(_EPS * max(n, k) * k, _CERTIFY_MARGIN * k, k) for k in ks]
-    if len(stacks) == 1:
-        _, _, T, Rinv = stacks[0]
-        ((a, ck, _),) = rule
-        # One stack is not padded: every row of q̂ is a coefficient.
-        kept = ...
-    else:
-        T, Rinv = np.zeros((d + 1, d + 1, N)), np.zeros((d, d, N))
-        rows = 0
-        for (_, _, t, rinv), k, m in zip(stacks, ks, sizes):
-            T[d - k :, d - k :, rows : rows + m] = t
-            Rinv[d - k :, d - k :, rows : rows + m] = rinv
-            rows += m
-        a, ck, k = np.repeat(rule, sizes, axis=0).T
-        # Block i's coefficients are the last k of the d in column i of q̂.
-        kept = np.arange(d) >= d - k[:, None]
+    _, k, kept, spans = layout
+    d, n = T.shape[0] - 1, stacks[0][1].shape[-2]
+    Rinv = _inverse_r(T, kept, spans)
+    # eps · max(n, k) · k, formed in the rule's own order; a block that
+    # ``_factor`` filled has n > k, since every fit needs n ≥ k + 5.
+    a = _EPS * n * k
     # The test reads W < limit, so it forms no overflow: a W of inf or NaN
-    # fails it.
-    # abs of the whole T, which is contiguous when padded, costs less than
-    # abs of its R view.
+    # fails it. abs of the whole T, which is contiguous, costs less than abs
+    # of its R view.
     M = np.abs(T)[:d, :d].max(axis=(0, 1))
     W = np.abs(Rinv).max(axis=(0, 1))
-    uncertified = ~(W < 1.0 / (ck * np.maximum(a * M, _TINY)))
+    uncertified = ~(W < 1.0 / (_CERTIFY_MARGIN * k * np.maximum(a * M, _TINY)))
     solve = _any(uncertified)
     if solve:
         # Their R⁻¹ may hold inf or NaN; the SVD replaces their q̂.
@@ -418,22 +447,20 @@ def _finish(stacks):
     small = rss < _TINY
     failures = {}
     if solve or _any(small):
-        rows = 0
-        for (nodes, B, _, _), k, m in zip(stacks, ks, sizes):
-            block = slice(rows, rows + m)
+        for nodes, B, (corner, _, block) in stacks:
+            m, k = block.stop - block.start, B.shape[-1] - 1
             if _any(uncertified[block]):
                 q_svd, failed = _solve_svd(B, nodes)
-                q[d - k :, block] = q_svd.reshape(m, k).T
-                failures.update((rows + i, exc) for i, exc in failed.items())
+                q[corner, block] = q_svd.reshape(m, k).T
+                failures.update((block.start + i, exc) for i, exc in failed.items())
             i = np.flatnonzero(small[block])
             if i.size:
                 A = B.reshape(m, n, k + 1)[i]
-                fitted = A[..., :k] @ q[d - k :, rows + i].T[..., None]
+                fitted = A[..., :k] @ q[corner, block.start + i].T[..., None]
                 r = A[..., k] - fitted[..., 0]
-                rss[rows + i] = _vecdot(r, r)
-            rows += m
+                rss[block.start + i] = _vecdot(r, r)
         rss[list(failures)] = np.nan
-    return q.T[kept].ravel(), rss, failures
+    return q.T[kept], rss, failures
 
 
 def _solve_svd(B, nodes):
@@ -599,11 +626,37 @@ class SemEstimate:
             if np.any(np.tril(Q) != 0.0):
                 raise ValueError("Q_hat must be strictly upper triangular")
             raise ValueError("Q_hat has support outside the dag's parent sets")
-        if np.any(R <= 0.0):
+        if _any(R <= 0.0):
             bad = int(np.argmin(R))
             raise ZeroResidualVariance(
                 f"residual variance at topological position {bad} is not positive"
             )
+
+
+def _raise_first_failure(dag, n, dof, R, failed):
+    """Raise the failure a node-by-node sweep in topological order would
+    meet first: a failed fit, an exact one (r̂ = 0) or a node short of
+    samples, after which no failure is reported; return when no node
+    fails. ``failed`` lists (nodes, {index into nodes:
+    RankDeficientDesign}) pairs."""
+    short = np.flatnonzero(dof < 1)
+    limit = int(short[0]) if short.size else dag.p
+    failures = {int(nodes[i]): exc for nodes, f in failed for i, exc in f.items()}
+    # Failed fits hold NaN, so they are not exact fits.
+    exact = np.flatnonzero(R[:limit] == 0.0)[:1].tolist()
+    first = min([*failures, *exact, limit])
+    if first == dag.p:
+        return
+    label = dag.label_of(dag.topo_order[first])
+    if first in failures:
+        exc = failures[first]
+    elif first < limit:
+        raise ZeroResidualVariance(
+            f"node {label}: exact fit, residual variance estimate is 0"
+        )
+    else:
+        exc = _too_few_samples(n, int(dag.in_degrees[first]), first)
+    raise type(exc)(f"node {label}: {exc}") from exc
 
 
 def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
@@ -612,10 +665,12 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     Columns of ``sample.X`` are in original order; they are taken in the
     dag's topological order internally. The nodes are fit by parent count:
     the counts 0 and 1 one kernel call each, and the counts of two or more
-    one QR factor step each and one finish step together (see ``_finish``).
-    Yet a failure is reported as a node-by-node sweep in topological order
-    would meet it first: the offending node's label is attached, and no
-    failure after a node with too few samples is reported.
+    one QR factor step each, into the dag's padded layout, and one finish
+    step together (see ``_finish``). Yet a failure is reported as a
+    node-by-node sweep in topological order would meet it first: the
+    offending node's label is attached, and no failure after a node with
+    too few samples is reported. The dag's largest parent count and one
+    test of R̂ tell whether there is a failure to look for.
 
     Raises:
         ValueOutOfRange: some value of the sample is out of range; checked
@@ -634,55 +689,50 @@ def fit_sem(sample: GroupedSample, dag: PathwayDag) -> SemEstimate:
     # first copy them to C order: a p × n temporary per fit, with which
     # simulate processes page-faulted several times as often.
     rows = sample.centered.T[gather]
-    sizes = dag.in_degrees
     # The one sample-size rule: a node needs dof ≥ 1, and r̂ = rss / dof.
-    dof = n - sizes - 4
-    short = np.flatnonzero(dof < 1)
-    limit = int(short[0]) if short.size else p
+    dof = n - dag.in_degrees - 4
+    enough = n - dag.max_in_degree - 4 >= 1
     Q = np.zeros((p, p))
     R = np.zeros(p)
-    failures: dict[int, RankDeficientDesign] = {}
+    layout = dag.padded_layout
+    slots, _, kept, _ = layout
+    T = np.zeros((kept.shape[1] + 1, kept.shape[1] + 1, kept.shape[0]))
+    failed = []
     stacks = []
     end = 0
     for k, (nodes, columns) in dag.parent_groups.items():
         start, end = end, end + columns.size
-        if dof[nodes[0]] < 1:
+        if not enough and dof[nodes[0]] < 1:
             # Every node of this group shares its parent count, so all are
-            # short of samples.
+            # short of samples; a slot of theirs stays empty.
             continue
         B = rows[start:end].reshape(len(nodes), k + 1, n).transpose(0, 2, 1)
         if k >= 2:
-            stacks.append(_factor(B, nodes))
+            _factor(B, T[slots[k]])
+            stacks.append((nodes, B, slots[k]))
             continue
-        q, rss, failed = _fit_columns(B, nodes)
-        Q[columns[:, :k], nodes[:, None]] = q
+        q, rss, failures = _fit_columns(B, nodes)
+        if k:
+            Q[columns[:, 0], nodes] = q[:, 0]
         R[nodes] = rss / dof[nodes]
-        failures.update((int(nodes[i]), exc) for i, exc in failed.items())
+        if failures:
+            failed.append((nodes, failures))
     if stacks:
-        q, rss, failed = _finish(stacks)
-        if limit == p:
+        q, rss, failures = _finish(T, layout, stacks)
+        if enough:
             Q.put(target, q)
+            R[multi] = rss / dof[multi]
         else:
             # A node short of samples fails the fit, so Q̂ is not returned;
             # the fitted groups still report their failures and exact fits.
-            multi = np.concatenate([nodes for nodes, *_ in stacks])
-        R[multi] = rss / dof[multi]
-        failures.update((int(multi[i]), exc) for i, exc in failed.items())
-    # A node-by-node sweep would stop at the first failure; failed fits hold
-    # NaN, so they are not exact fits.
-    exact = np.flatnonzero(R[:limit] == 0.0)[:1].tolist()
-    first = min([*failures, *exact, limit])
-    if first < p:
-        label = dag.label_of(dag.topo_order[first])
-        if first in failures:
-            exc = failures[first]
-        elif first < limit:
-            raise ZeroResidualVariance(
-                f"node {label}: exact fit, residual variance estimate is 0"
-            )
-        else:
-            exc = _too_few_samples(n, int(sizes[first]), first)
-        raise type(exc)(f"node {label}: {exc}") from exc
+            for nodes, _, (_, _, block) in stacks:
+                R[nodes] = rss[block] / dof[nodes]
+        if failures:
+            failed.append((multi, failures))
+    # A failed fit reads NaN and an exact one 0, so one test of R̂ finds
+    # both.
+    if not enough or b"\x00" in (R > 0.0).tobytes():
+        _raise_first_failure(dag, n, dof, R, failed)
     # θ̂ is the group means through (I − Q̂), as t2dag forms its statistic
     # from the mean difference.
     M = sample.means.take(dag.topo_index, axis=1)

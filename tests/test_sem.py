@@ -874,6 +874,115 @@ def test_fit_sem_raises_the_first_failure_in_topological_order(kinds):
     assert str(err.value) == expected[1]
 
 
+def _mixed_count_case(rng, kinds):
+    """A dag in shuffled column order whose stacks of two or more parents
+    hold every count from 2 to 9, two nodes each, so one finish step pads
+    them all together; the nodes in ``kinds`` are appended in that order.
+
+    n1 = n2 = 10. Kinds: "rank" (five parents, two of them identical
+    columns, a block in a middle stack), "exact" (a group-constant node with
+    four parents, whose fit is exact) and "samples" (sixteen parents, which
+    leaves no degrees of freedom).
+    """
+    n1 = n2 = 10
+    n = n1 + n2
+    columns = [rng.normal(size=n) for _ in range(18)]
+    # Column 17 copies column 0; only the "rank" node reads both.
+    columns[17] = columns[0].copy()
+    edges = []
+    counts = [k for k in range(2, 10) for _ in range(2)]
+    for k in rng.permutation(counts).tolist():
+        node = len(columns)
+        parents = rng.choice(np.r_[:17, 18:node], size=k, replace=False)
+        weights = rng.uniform(0.2, 0.5, size=k) * rng.choice([-1.0, 1.0], size=k)
+        columns.append(np.column_stack([columns[i] for i in parents]) @ weights)
+        columns[-1] += rng.normal(size=n)
+        edges += [(int(i), node) for i in parents]
+    for kind in kinds:
+        node = len(columns)
+        if kind == "rank":
+            parents = [0, 17, *rng.choice(np.r_[1:17, 18:node], size=3, replace=False)]
+            columns.append(rng.normal(size=n))
+        elif kind == "exact":
+            # Constants whose group sums are exact, so the centered column
+            # is exactly zero.
+            parents = rng.choice(np.r_[1:17, 18:node], size=4, replace=False)
+            columns.append(np.r_[np.full(n1, 1.5), np.full(n2, -2.0)])
+            exact = node
+        elif kind == "samples":
+            parents = rng.choice(np.r_[1:17, 18:node], size=16, replace=False)
+            columns.append(rng.normal(size=n))
+        edges += [(int(i), node) for i in parents]
+    means = rng.normal(size=(2, len(columns)))
+    X = np.column_stack(columns) + means[[0] * n1 + [1] * n2]
+    if "exact" in kinds:
+        X[:, exact] = columns[exact]
+    # Shuffled columns, so positions and columns differ.
+    perm = rng.permutation(X.shape[1])
+    col_of = np.argsort(perm)
+    labels = [f"G{c}" for c in range(X.shape[1])]
+    dag = PathwayDag.from_edges(
+        [(col_of[j], col_of[k]) for j, k in edges], p=X.shape[1], labels=labels
+    )
+    X = X[:, perm]
+    return GroupedSample.from_groups(X[:n1], X[n1:]), dag
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        (),
+        ("rank", "exact", "samples"),
+        ("exact", "samples", "rank"),
+        ("samples", "rank", "exact"),
+        ("rank",),
+        ("exact",),
+        ("samples",),
+    ],
+)
+def test_fit_sem_on_mixed_parent_counts_agrees_with_a_fit_node_sweep(kinds):
+    # Every parent count from 2 to 9 in one finish step. A planted failure
+    # is raised as the sweep meets it first, with the sweep's message; with
+    # none planted, Q̂ and R̂ agree with the sweep within the least-squares
+    # perturbation bounds of the pinv oracle.
+    for seed in range(4):
+        sample, dag = _mixed_count_case(np.random.default_rng([40, seed]), kinds)
+        assert set(range(2, 10)) <= set(dag.parent_groups)
+        expected = _sequential_failure(sample, dag)
+        if kinds:
+            assert expected is not None
+            with pytest.raises(expected[0]) as err:
+                fit_sem(sample, dag)
+            assert str(err.value) == expected[1]
+            continue
+        assert expected is None
+        est = fit_sem(sample, dag)
+        topo = sample.reorder_columns(dag.topo_order)
+        centered = sample.centered[:, dag.topo_index]
+        n = sample.n
+        for pos, parents in enumerate(dag.parent_sets):
+            nf = fit_node(topo, pos, parents)
+            k = len(parents)
+            A, y = centered[:, list(parents)], centered[:, pos]
+            if k:
+                s = np.linalg.svd(A, compute_uv=False)
+                q_or = np.linalg.pinv(A / s[0]) @ (y / s[0])
+                resid = y - A @ q_or
+                kappa, qn = s[0] / s[-1], float(np.linalg.norm(q_or))
+            else:
+                s, q_or, resid, kappa, qn = [1.0], np.empty(0), y, 1.0, 0.0
+            r = float(np.sqrt(resid @ resid))
+            dq = 1e3 * _EPS * kappa * (qn + kappa * r / s[0])
+            dr = 1e3 * _EPS * (s[0] * qn + kappa * r)
+            q = est.Q_hat[list(parents), pos]
+            assert np.abs(q - nf.q_hat).max(initial=0.0) <= 2 * dq
+            assert np.abs(q - q_or).max(initial=0.0) <= dq
+            dof = n - k - 4
+            assert est.dof[pos] == nf.dof == dof
+            assert abs(est.R_hat[pos] - nf.r_hat) * dof <= 2 * (2 * r * dr + dr * dr)
+            assert abs(est.R_hat[pos] * dof - r * r) <= 2 * r * dr + dr * dr
+
+
 def test_sem_estimate_validation():
     dag = PathwayDag.from_edges([(0, 1)], p=2)
     for Q, R in ((np.zeros((2, 3)), np.ones(2)), (np.zeros((2, 2)), np.ones(3))):
