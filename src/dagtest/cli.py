@@ -24,6 +24,8 @@ statistics, so reports would depend on the core count.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -354,6 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``dagtest`` command and return its exit status.
+
+    ``main`` is a process's entry point: ``sys.exit(main())`` ends the
+    process. It registers ``gc.freeze`` with ``atexit`` (once per process),
+    so at interpreter exit the heap that the imports built sits in the
+    permanent generation and the shutdown collections skip it. On a 2-core
+    Xeon, exit after a ``batch`` run then takes about 10.5 ms instead of
+    46 ms; what is left is the rest of the shutdown and the process
+    teardown (``os._exit`` would take 2.6 ms, but skip every other
+    ``atexit`` handler). Nothing changes before exit, so a caller that goes
+    on after ``main`` returns, such as a test suite, keeps normal garbage
+    collection. Cyclic objects still alive at exit are not finalized by the
+    shutdown sweep; every file ``main`` writes is closed before it returns.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

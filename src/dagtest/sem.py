@@ -227,7 +227,9 @@ class GroupedSample:
             )
 
     def reorder_columns(self, order: Sequence[int]) -> "GroupedSample":
-        return replace(self, X=self.X[:, list(order)])
+        # ``take`` keeps C order (fancy indexing would give Fortran order),
+        # so the copy's group means sum in the same order as the original's.
+        return replace(self, X=self.X.take(order, axis=1))
 
 
 @dataclass(frozen=True, eq=False)

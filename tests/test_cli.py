@@ -1,11 +1,13 @@
 """End-to-end command-line behavior for test, batch, and simulate."""
 
+import gc
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -989,3 +991,69 @@ def test_batch_single_baseline_runs_equal_methods_all(tmp_path):
         alone = results(method)
         assert alone == [[r for r in rs if r["method"] == method] for rs in every]
         assert all(len(rs) == 1 for rs in alone)
+
+
+# ---------------------------------------------------------------------------
+# Process exit
+# ---------------------------------------------------------------------------
+
+def command_args(workdir: Path, command: str) -> list[str]:
+    """One run of `command` on the workdir fixture that writes its --out."""
+    if command == "simulate":
+        config = workdir / "sim.json"
+        config.write_text(json.dumps(SIM_CONFIG))
+        return ["simulate", "--config", str(config), "--out", str(workdir / "sim")]
+    inputs = (
+        ["--pathway", str(workdir / "pathways" / "chain.tsv")]
+        if command == "test"
+        else ["--pathway-dir", str(workdir / "pathways")]
+    )
+    return [
+        command, "--expression", str(workdir / "expr.csv"), *inputs,
+        "--out", str(workdir / f"{command}.json"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["test", "batch", "simulate"])
+def test_main_leaves_garbage_collection_alone_and_no_file_for_it(workdir, command):
+    # main freezes the heap only at interpreter exit, so a caller that goes
+    # on after it returns collects garbage as before. The shutdown
+    # collections then skip the frozen heap and close nothing, so every file
+    # main opens must be closed before it returns: a collection finds none.
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(command_args(workdir, command)) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_main_freezes_the_heap_at_exit_and_passes_exit_codes_through(workdir):
+    # atexit runs handlers last in, first out: one registered before main
+    # runs after main's gc.freeze, and sees the frozen heap.
+    rows = ["sample,GA,GB,GC,group", "s0,1.0,2.0,3.0,1", "s1,1.1,2.2,3.1,1"]
+    rows += ["s2,2.0,3.0,4.0,2", "s3,2.1,3.1,4.1,2"]
+    (workdir / "tiny.csv").write_text("\n".join(rows) + "\n")
+    program = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "from dagtest.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    pathway = ["--pathway", str(workdir / "pathways" / "chain.tsv")]
+    cases = [
+        (0, ["--expression", str(workdir / "expr.csv"), *pathway]),
+        (1, ["--expression", str(workdir / "tiny.csv"), *pathway]),
+        (2, ["--expression", str(workdir / "expr.csv"), *pathway, "--alpha", "2"]),
+    ]
+    for code, args in cases:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", program, "test", *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen at exit: True"

@@ -1,11 +1,12 @@
 """SEM estimation layer: per-node OLS, assembly, precision/covariance."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
@@ -323,6 +324,18 @@ def test_fit_sem_column_permutation_equivariant():
     assert_allclose(node_P2, node_P1, atol=1e-10)
 
 
+def test_identity_reorder_keeps_means_and_centered_bits():
+    # The CLI builds every pathway's sample by reorder_columns; its copy must
+    # sum each column's groups in the order the original does.
+    rng = np.random.default_rng(30)
+    sample = GroupedSample.from_groups(
+        8.0 + rng.normal(size=(20, 30)), 8.0 + rng.normal(size=(20, 30))
+    )
+    same = sample.reorder_columns(range(30))
+    assert same.means.tobytes() == sample.means.tobytes()
+    assert same.centered.tobytes() == sample.centered.tobytes()
+
+
 @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf, 1.001, -1.001])
 def test_out_of_range_value_fails_every_fit_up_front(factor):
     # Values within (float max / (16·n²·p²))^(1/4) fit; a NaN, an infinity
@@ -582,13 +595,17 @@ def _check_kernel_against_svd_rule_and_pinv(B, M, nodes, sample=None):
         # singular value at any scale.
         q_or = np.linalg.pinv(A / s[0]) @ (y / s[0])
         resid = y - A @ q_or
-        r = float(np.sqrt(resid @ resid))
+        # hypot scales as it sums, so r does not underflow to 0 at 1e-300.
+        # The RSS is checked against resid @ resid, which is rounded to the
+        # same subnormal grid as the kernel's, and equals r·r to rounding
+        # wherever the squares do not underflow.
+        r = math.hypot(*resid)
         kappa, qn = s[0] / s[-1], float(np.linalg.norm(q_or))
         dq = 1e3 * _EPS * kappa * (qn + kappa * r / s[0])
         dr = 1e3 * _EPS * (s[0] * qn + kappa * r)
         means = np.abs(M[i, :, :k]).max()
         assert np.abs(q[i] - q_or).max() <= dq
-        assert abs(rss[i] - r * r) <= 2 * r * dr + dr * dr
+        assert abs(rss[i] - resid @ resid) <= 2 * r * dr + dr * dr
         scale_adj = np.abs(M[i, :, k]).max() + means * qn
         bound = means * dq + dr + 1e3 * _EPS * scale_adj
         m1, m2 = M[i, :, k] - M[i, :, :k] @ q_or
@@ -630,6 +647,7 @@ def _check_kernel_against_svd_rule_and_pinv(B, M, nodes, sample=None):
     blocks=st.integers(1, 8),
     scale=st.sampled_from([1e-300, 1e-200, 1e-155, 1e-100, 1.0, 1e50, np.inf]),
 )
+@example(seed=1283818, k=1, blocks=7, scale=1e-300)
 def test_fit_kernel_decides_as_the_svd_rule_and_fits_as_pinv(seed, k, blocks, scale):
     # Conditioning from 1 to 1e17 and scales from 1e-300 to the range bound:
     # the rank decisions and messages are the SVD rule's, whichever blocks
